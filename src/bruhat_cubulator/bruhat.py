@@ -1,11 +1,21 @@
 """Bruhat order: lower intervals, Hasse diagrams, and Bruhat graphs.
 
-The interval [1, y] is enumerated top-down by single-letter deletions from
-canonical reduced words; the Strong Exchange Property guarantees that this
-reaches every element.  Bruhat-graph edges are found by multiplying each
-interval element by each reflection of bounded length and looking the
-product up in the interval, which avoids quadratically many reflection
-tests.
+The interval [1, y] is built on root ids (see ``coxeter``): an element u
+is keyed by the tuple of root ids of u(alpha_1), ..., u(alpha_n), and
+left-multiplying by a generator is n lookups in the system's action
+table.  Element objects are made only for the vertices.
+
+- Vertices: by the subword property, reading a reduced word of y right to
+  left and setting S <- S u s*S each time yields [1, y]; a key not yet in
+  S lies one length above the element it came from (Bjorner-Brenti,
+  *Combinatorics of Coxeter Groups*, GTM 231, Ch. 2).
+- Canonical words, in length order: the first letter of the
+  lexicographically first reduced word of u is its smallest left descent
+  s, found by looking s*u up one length down; the rest is the word of s*u.
+- Edges: each vertex carries the images of the roots the edge step needs,
+  one lookup per root from the vertex s*u below it.  For a reflection t
+  with root beta, u -> ut goes up iff u(beta) > 0, and the key of ut is
+  read off the images of t(alpha_1), ..., t(alpha_n).
 """
 
 from __future__ import annotations
@@ -27,52 +37,77 @@ class BruhatInterval:
             raise ValueError("top element from a different system")
         self.system = system
         self.top = top
-        self._enumerate()
-        self._build_edges()
+        self._build()
         self._below = None
         self._succ = None
 
     # -- construction -------------------------------------------------------
 
-    def _enumerate(self):
+    def _build(self):
         sys = self.system
-        by_mat = {self.top.matrix: self.top}
-        frontier = [self.top]
-        while frontier:
-            nxt = []
-            for z in frontier:
-                w = z.iword
-                k = len(w)
-                seen_words = set()
-                for p in range(k):
-                    r = sys._reduce(w[:p] + w[p + 1 :])
-                    if len(r) != k - 1 or r in seen_words:
-                        continue
-                    seen_words.add(r)
-                    mat = sys._word_matrix(r)
-                    if mat not in by_mat:
-                        el = sys._element(sys._canonical(r))
-                        by_mat[mat] = el
-                        nxt.append(el)
-            frontier = nxt
-        self.vertices = sorted(by_mat.values(), key=Element.sort_key)
-        self.index = {el: i for i, el in enumerate(self.vertices)}
-        self.lengths = [el.length for el in self.vertices]
-        self._mat_index = {el.matrix: i for el, i in self.index.items()}
+        left = sys._left
+        top_length = self.top.length
 
-    def _build_edges(self):
-        sys = self.system
+        # ids in (length, canonical word) order; within one length the
+        # order of the words (s,) + word(s*u) is that of (s, id of s*u)
+        ids = {sys._identity_key: 0}
+        keys = [sys._identity_key]
+        letter = [-1]
+        below = [-1]
+        starts = [0, 1]
+        for level in _subword_closure(sys, self.top.iword)[1:]:
+            ordered = []
+            for key in level:
+                for s in range(sys.rank):
+                    v = ids.get(left(s, key))
+                    if v is not None and v >= starts[-2]:
+                        ordered.append((s, v, key))
+                        break
+            ordered.sort()
+            for s, v, key in ordered:
+                ids[key] = len(keys)
+                keys.append(key)
+                letter.append(s)
+                below.append(v)
+            starts.append(len(keys))
+
+        words = [()]
+        for v in range(1, len(keys)):
+            words.append((letter[v],) + words[below[v]])
+        roots = sys._roots
+        self.vertices = []
+        for word, key in zip(words, keys):
+            el = sys._element(word)
+            if el._matrix is None:
+                el._matrix = tuple(roots[r] for r in key)
+            self.vertices.append(el)
+        self.index = {el: i for i, el in enumerate(self.vertices)}
+        self.lengths = [len(w) for w in words]
+
+        # edge step on the images of the needed roots, one length at a time;
+        # an edge label t = u^-1 v has ell(t) <= ell(u) + ell(v) < 2 ell(y)
+        reflections = sys._reflections(top_length)
+        needed = sorted({r for _, rid, tkey in reflections for r in (rid, *tkey)})
+        at = {r: j for j, r in enumerate(needed)}
+        tests = [(at[rid], tuple(at[r] for r in tkey), t) for t, rid, tkey in reflections]
+        sign = sys._root_sign
         edges = []
-        if self.top.length:
-            reflections = sys.reflections_up_to(self.top.length)
-            for u_id, u in enumerate(self.vertices):
-                mu = u.matrix
-                lu = u.length
-                for t in reflections:
-                    v_id = self._mat_index.get(sys._mat_mul(mu, t.matrix))
-                    if v_id is not None and self.lengths[v_id] > lu:
-                        edges.append((u_id, v_id, t))
-        edges.sort(key=lambda e: (e[0], e[1]))
+        images = [tuple(needed)]
+        for l in range(top_length + 1):
+            lo, hi = starts[l], starts[l + 1]
+            if l:
+                prev = starts[l - 1]
+                images = [left(letter[u], images[below[u] - prev]) for u in range(lo, hi)]
+            for u in range(lo, hi):
+                img = images[u - lo]
+                out = []
+                for b, tkey, t in tests:
+                    if sign[img[b]] > 0:
+                        v = ids.get(tuple(map(img.__getitem__, tkey)))
+                        if v is not None:
+                            out.append((v, t))
+                out.sort()
+                edges.extend((u, v, t) for v, t in out)
         self.bruhat_edges = edges
         self.hasse_edges = [
             (u, v) for u, v, _ in edges if self.lengths[v] == self.lengths[u] + 1
@@ -116,6 +151,28 @@ class BruhatInterval:
 
     def leq_ids(self, x_id: int, y_id: int) -> bool:
         return bool(self.below_masks[y_id] >> x_id & 1)
+
+
+def _subword_closure(system: CoxeterSystem, iword: tuple) -> list[list[tuple]]:
+    """Keys of [1, y] grouped by length, for y with reduced index word iword.
+
+    After reading the suffix w of the word, the set holds the products of
+    the subwords of w, which is [1, w]; an s*x not in [1, w] has s*x > x.
+    """
+    left = system._left
+    found = [(system._identity_key, 0)]
+    seen = {system._identity_key}
+    for s in reversed(iword):
+        for i in range(len(found)):
+            key, l = found[i]
+            k = left(s, key)
+            if k not in seen:
+                seen.add(k)
+                found.append((k, l + 1))
+    levels = [[] for _ in range(len(iword) + 1)]
+    for key, l in found:
+        levels[l].append(key)
+    return levels
 
 
 def interval(y: Element) -> BruhatInterval:

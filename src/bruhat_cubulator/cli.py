@@ -89,7 +89,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_element(system: CoxeterSystem, args) -> Element:
     if getattr(args, "word", None):
-        return system.element(int(a) for a in args.word.split())
+        try:
+            return system.element(int(a) for a in args.word.split())
+        except ValueError as exc:
+            raise ValueError(
+                f'{exc}; --word takes space-separated generator labels, e.g. "2 1 3 2"'
+            ) from exc
     name = getattr(args, "element", None)
     if not name:
         raise ValueError("an element is required (--element or --word)")

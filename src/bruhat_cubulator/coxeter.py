@@ -8,6 +8,13 @@ queries on root vectors, which are exact in every arithmetic tier.
 Generator labels are 1..n for finite types and 0..n for affine types.
 Words are exposed as tuples of labels; internally they are 0-based index
 tuples in label order.
+
+Each system also keeps a table of the roots it has met so far: an id per
+root vector, the sign of each id, and ``act[s][rid]``, the id of
+s(root), filled on first use.  An element u is then named by its key, the
+tuple of root ids of u(alpha_1), ..., u(alpha_n), and left-multiplying by
+a generator costs n table lookups (Casselman, "Machine calculations in
+Weyl groups", Invent. Math. 116, 1994).
 """
 
 from __future__ import annotations
@@ -164,11 +171,13 @@ class CoxeterSystem:
             self._edges[frozenset((a, b))] = m
         self._init_scalars()
         self._init_action()
+        self._init_roots()
         self._elements: dict[tuple, Element] = {}
         self._leq_cache: dict[tuple, bool] = {}
-        self._refl_roots: dict[tuple, tuple] = {}
+        self._refl: list[tuple] = []
+        self._refl_ends: list[int] = []
+        self._refl_seen: set[int] = set()
         self._refl_frontier: list = []
-        self._refl_by_depth: list[list] = []
         self._longest = None
 
     def m(self, a, b):
@@ -225,6 +234,55 @@ class CoxeterSystem:
             tuple(self._one if i == j else self._zero for j in range(n)) for i in range(n)
         )
         self._id_mat = self._alpha
+
+    def _init_roots(self):
+        self._roots: list[tuple] = []
+        self._root_ids: dict[tuple, int] = {}
+        self._root_sign: list[int] = []
+        # act[s][rid] is the id of s(root rid), or -1 until first needed
+        self._act: list[list[int]] = [[] for _ in range(self.rank)]
+        for v in self._alpha:
+            self._root_id(v)
+        self._identity_key = tuple(range(self.rank))
+
+    # -- root table ---------------------------------------------------------
+
+    def _root_id(self, v) -> int:
+        """The id of root vector v, registering it on first sight."""
+        rid = self._root_ids.get(v)
+        if rid is None:
+            rid = len(self._roots)
+            self._root_ids[v] = rid
+            self._roots.append(v)
+            self._root_sign.append(self._vec_sign(v))
+            for row in self._act:
+                row.append(-1)
+        return rid
+
+    def _act_id(self, s, rid) -> int:
+        """The id of s(root rid), filling the action table on first use."""
+        r = self._act[s][rid]
+        if r < 0:
+            r = self._root_id(self._apply(s, self._roots[rid]))
+            self._act[s][rid] = r
+        return r
+
+    def _left(self, s, rids) -> tuple:
+        """Root ids of s(gamma) for each root id gamma in rids.
+
+        Applied to the key of u this gives the key of s*u.
+        """
+        out = tuple(map(self._act[s].__getitem__, rids))
+        if -1 in out:
+            out = tuple(self._act_id(s, r) for r in rids)
+        return out
+
+    def _key(self, iword) -> tuple:
+        """Key of the element with the given index word (any word, not only reduced)."""
+        key = self._identity_key
+        for s in reversed(iword):
+            key = self._left(s, key)
+        return key
 
     # -- vector / matrix primitives (index space) ---------------------------
 
@@ -349,11 +407,16 @@ class CoxeterSystem:
 
     def element(self, word) -> "Element":
         """Canonical element for a word of generator labels."""
-        iword = tuple(self._idx[a] for a in word)
-        return self._element(self._canonical(iword))
-
-    def shortlex_nf(self, word) -> "Element":
-        return self.element(word)
+        iword = []
+        for a in word:
+            if a not in self._idx:
+                valid = " ".join(str(b) for b in self.labels)
+                raise ValueError(
+                    f"unknown generator label {a!r} for {self.descriptor}; "
+                    f"the labels are {valid}"
+                )
+            iword.append(self._idx[a])
+        return self._element(self._canonical(tuple(iword)))
 
     def multiply(self, w: "Element", v: "Element") -> "Element":
         if w.system is not self or v.system is not self:
@@ -500,44 +563,39 @@ class CoxeterSystem:
     # -- reflections --------------------------------------------------------
 
     def reflections_up_to(self, depth: int) -> list:
-        """All reflections t with ell(t) <= 2*depth - 1, as Elements.
+        """All reflections t with ell(t) <= 2*depth - 1, as Elements."""
+        return [t for t, _, _ in self._reflections(depth)]
 
-        Enumerated by breadth-first search over positive roots; the depth of
-        a root equals (ell(t) + 1) / 2 for its reflection t.  Results are
-        cached and extended incrementally.
+    def _reflections(self, depth: int) -> list:
+        """Triples (t, root id of t, key of t) for ell(t) <= 2*depth - 1.
+
+        Enumerated by breadth-first search over positive root ids; the
+        depth of a root equals (ell(t) + 1) / 2 for its reflection t.
+        Results are cached and extended incrementally.
         """
-        if not self._refl_by_depth:
-            layer = []
+        if not self._refl_ends:
             for s in range(self.rank):
-                self._refl_roots[self._alpha[s]] = (s,)
-                layer.append((self._alpha[s], (s,)))
-            self._refl_by_depth.append(
-                [self._element((s,)) for s in range(self.rank)]
-            )
-            self._refl_frontier = layer
-        while len(self._refl_by_depth) < depth:
+                self._refl.append((self._element((s,)), s, self._key((s,))))
+                self._refl_seen.add(s)
+                self._refl_frontier.append((s, (s,)))
+            self._refl_ends.append(len(self._refl))
+        while len(self._refl_ends) < depth and self._refl_frontier:
             new_layer = []
-            elems = []
-            for root, path in self._refl_frontier:
+            for rid, path in self._refl_frontier:
                 for i in range(self.rank):
-                    nr = self._apply(i, root)
-                    if nr == root or nr in self._refl_roots:
-                        continue
-                    if self._vec_sign(nr) < 0:
+                    nr = self._act_id(i, rid)
+                    if nr == rid or nr in self._refl_seen or self._root_sign[nr] < 0:
                         continue
                     npath = (i,) + path
-                    self._refl_roots[nr] = npath
+                    self._refl_seen.add(nr)
                     new_layer.append((nr, npath))
                     tword = npath + tuple(reversed(npath[:-1]))
-                    elems.append(self._element(self._canonical(tword)))
+                    t = self._element(self._canonical(tword))
+                    self._refl.append((t, nr, self._key(tword)))
             self._refl_frontier = new_layer
-            self._refl_by_depth.append(elems)
-            if not new_layer:
-                break
-        out = []
-        for d in range(min(depth, len(self._refl_by_depth))):
-            out.extend(self._refl_by_depth[d])
-        return out
+            self._refl_ends.append(len(self._refl))
+        reached = min(depth, len(self._refl_ends))
+        return self._refl[: self._refl_ends[reached - 1]] if reached > 0 else []
 
     # -- balls --------------------------------------------------------------
 
@@ -741,9 +799,6 @@ class Element:
             self._inverse = inv
             inv._inverse = self
         return self._inverse
-
-    def is_identity(self) -> bool:
-        return not self.iword
 
     def __mul__(self, other):
         if isinstance(other, Element):

@@ -152,14 +152,19 @@ class CPReport:
 
 
 def carrell_peterson_report(y: Element) -> CPReport:
-    """Evaluate the four equivalent triviality conditions for [1, y].
+    """Evaluate the four equivalent triviality conditions for [1, y]."""
+    return table_report(KLTable(interval(y)))
+
+
+def table_report(table: KLTable) -> CPReport:
+    """The four equivalent triviality conditions for the table's interval.
 
     Conditions: (1) all P_{x,y} trivial, (2) Bruhat out-degree l(y)-l(x)
     at every x, (3) average length l(y)/2, (4) palindromic Poincare
     polynomial.  Any disagreement raises, since the four are a theorem.
     """
-    iv = interval(y)
-    table = KLTable(iv)
+    iv = table.interval
+    y = iv.top
     cond_trivial = all(p == ONE for p in table.top_column())
     cond_edges = all(
         iv.succ_masks[i].bit_count() == y.length - iv.lengths[i]

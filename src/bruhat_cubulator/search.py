@@ -173,6 +173,12 @@ def cubulate(
     if iv is None:
         iv = interval(y)
     shapes = candidate_shapes(iv)
+    if checkpoint is not None and tuple(checkpoint["shape"]) not in shapes:
+        raise ValueError(
+            f"checkpoint shape {list(checkpoint['shape'])} is not a candidate shape "
+            f"of {y!r} (candidates: {[list(s) for s in shapes]}); "
+            "the checkpoint belongs to another job"
+        )
     if workers > 1 and checkpoint is None and len(shapes) > 1:
         return _cubulate_parallel(y, iv, shapes, budget, workers, t0)
     total = 0

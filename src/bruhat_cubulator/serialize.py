@@ -13,7 +13,8 @@ import json
 from .bruhat import BruhatInterval, interval
 from .coxeter import CoxeterSystem, build_system
 from .cube import CubicalLattice
-from .kl import CPReport, KLTable, carrell_peterson_report
+# carrell_peterson_report stays importable from here: bench/tracing.py wraps it by this name
+from .kl import CPReport, KLTable, carrell_peterson_report, table_report  # noqa: F401
 from .search import Cubulation, SearchOutcome
 
 SCHEMA = "bruhat-cubulator/1"
@@ -100,7 +101,7 @@ def kl_doc(table: KLTable) -> dict:
             for i, el in enumerate(iv.vertices)
         ],
         "pairs": pairs,
-        "report": report_doc(carrell_peterson_report(iv.top)),
+        "report": report_doc(table_report(table)),
     }
 
 
@@ -153,6 +154,16 @@ def checkpoint_doc(checkpoint: dict) -> dict:
 
 
 def checkpoint_from_doc(doc: dict) -> dict:
+    """The checkpoint in a document written by ``checkpoint_doc``; ValueError otherwise."""
+    if not isinstance(doc, dict):
+        raise ValueError("checkpoint document is not a JSON object")
+    if doc.get("schema") != SCHEMA or doc.get("kind") != "checkpoint":
+        raise ValueError(
+            f"not a checkpoint document: schema {doc.get('schema')!r}, kind {doc.get('kind')!r}"
+        )
+    missing = [k for k in ("shape", "path", "min_id") if k not in doc]
+    if missing:
+        raise ValueError(f"checkpoint document lacks {', '.join(missing)}")
     return {
         "shape": list(doc["shape"]),
         "path": list(doc["path"]),

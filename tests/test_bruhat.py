@@ -11,7 +11,29 @@ from bruhat_cubulator.bruhat import (
 from bruhat_cubulator.polynomials import IntPoly
 
 import oracles
+from bruhat_cubulator.constructions import y_m
 from conftest import system
+
+# integer, ring (H3, I2(m)) and affine tiers; a word, "w0" or "y_m:<m>"
+CASES = [
+    ("A3", (2, 1, 3, 2)),
+    ("B3", (1, 2, 1, 3)),
+    ("Atilde2", (1, 2, 1, 0, 2)),
+    ("I2(7)", (1, 2, 1, 2)),
+    ("H3", (1, 2, 1, 2, 3, 2, 1)),
+    ("I2(5)", "w0"),
+    ("Atilde2", "y_m:3"),
+    ("A2", "w0"),
+]
+
+
+def case_element(tag, spec):
+    sys = system(tag)
+    if spec == "w0":
+        return sys.longest_element()
+    if isinstance(spec, str):
+        return y_m(sys, int(spec.removeprefix("y_m:")))
+    return sys.element(spec)
 
 
 class TestEnumeration:
@@ -33,18 +55,9 @@ class TestEnumeration:
         assert len(iv.vertices) == 1
         assert iv.bruhat_edges == []
 
-    @pytest.mark.parametrize(
-        "tag,word",
-        [
-            ("A3", (2, 1, 3, 2)),
-            ("B3", (1, 2, 1, 3)),
-            ("Atilde2", (1, 2, 1, 0, 2)),
-            ("I2(7)", (1, 2, 1, 2)),
-        ],
-    )
+    @pytest.mark.parametrize("tag,word", CASES)
     def test_matches_subword_oracle(self, tag, word):
-        sys = system(tag)
-        y = sys.element(word)
+        y = case_element(tag, word)
         iv = interval(y)
         assert set(iv.vertices) == oracles.subword_interval(y)
 
@@ -72,16 +85,19 @@ class TestEdges:
         ]
         assert iv.hasse_edges == expected
 
-    def test_bruhat_edges_complete(self, a2):
+    @pytest.mark.parametrize("tag,word", CASES)
+    def test_bruhat_edges_complete(self, tag, word):
         # cross-check against a quadratic scan over all pairs
-        iv = interval(a2.longest_element())
-        pairs = {
-            (u_id, v_id)
-            for u_id, u in enumerate(iv.vertices)
-            for v_id, v in enumerate(iv.vertices)
-            if v.length > u.length and a2.is_reflection(u.inverse() * v)
-        }
-        assert {(u, v) for u, v, _ in iv.bruhat_edges} == pairs
+        y = case_element(tag, word)
+        iv = interval(y)
+        expected = set()
+        for u_id, u in enumerate(iv.vertices):
+            for v_id, v in enumerate(iv.vertices):
+                t = u.inverse() * v
+                if v.length > u.length and y.system.is_reflection(t):
+                    expected.add((u_id, v_id, t))
+        assert set(iv.bruhat_edges) == expected
+        assert len(iv.bruhat_edges) == len(expected)
 
     def test_out_degrees_a2(self, a2):
         iv = interval(a2.longest_element())

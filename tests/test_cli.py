@@ -104,6 +104,35 @@ class TestCubulate:
         assert code2 == 0
         assert json.loads(out2)["status"] == "Found"
 
+    def test_checkpoint_of_another_element_is_refused(self, capsys, tmp_path):
+        # a B3 checkpoint names a shape A3 w0 does not have; resuming from
+        # it must not report Exhausted
+        cp = tmp_path / "cp.json"
+        code, _, _ = run(
+            capsys,
+            "cubulate", "--system", "B3", "--element", "w0",
+            "--budget", "5", "--checkpoint", str(cp),
+        )
+        assert code == 3
+        code2, out2, err2 = run(
+            capsys,
+            "cubulate", "--system", "A3", "--element", "w0", "--checkpoint", str(cp),
+        )
+        assert code2 == 2
+        assert out2 == ""
+        assert err2.startswith("error:") and "checkpoint" in err2
+
+    def test_malformed_checkpoint_is_refused(self, capsys, tmp_path):
+        cp = tmp_path / "cp.json"
+        cp.write_text(json.dumps({"schema": "bruhat-cubulator/1", "kind": "interval"}))
+        code, out, err = run(
+            capsys,
+            "cubulate", "--system", "A3", "--element", "w0", "--checkpoint", str(cp),
+        )
+        assert code == 2
+        assert out == ""
+        assert "not a checkpoint document" in err
+
 
 class TestConstruct:
     def test_path_forest(self, capsys):
@@ -169,9 +198,22 @@ class TestErrorsAndSuites:
         assert code == 2
         assert "error:" in err
 
+    def test_word_with_unknown_label(self, capsys):
+        code, out, err = run(capsys, "kl", "--system", "A3", "--word", "2132")
+        assert code == 2
+        assert out == ""
+        assert "unknown generator label 2132" in err
+        assert "the labels are 1 2 3" in err
+        assert "space-separated generator labels" in err
+
     def test_smoke_suite(self, capsys):
         code, out, _ = run(capsys, "suite", "smoke")
         assert code == 0
         doc = json.loads(out)
         assert doc["passed"] is True
         assert all(c["status"] == "pass" for c in doc["checks"])
+
+    def test_suite_output_is_byte_stable(self, capsys):
+        _, first, _ = run(capsys, "suite", "smoke")
+        _, second, _ = run(capsys, "suite", "smoke")
+        assert first == second

@@ -103,6 +103,27 @@ class TestCheckpoints:
         resumed = cubulate(b3.longest_element(), checkpoint=restored)
         assert resumed.status == "Found"
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"schema": "bruhat-cubulator/0"},
+            {"kind": "search-outcome"},
+            {"shape": None},
+            {"path": None},
+            {"min_id": None},
+        ],
+        ids=["schema", "kind", "no-shape", "no-path", "no-min_id"],
+    )
+    def test_rejects_malformed(self, change):
+        doc = serialize.checkpoint_doc({"shape": [2, 3, 4], "path": [0], "min_id": 1})
+        for key, value in change.items():
+            if value is None:
+                del doc[key]
+            else:
+                doc[key] = value
+        with pytest.raises(ValueError):
+            serialize.checkpoint_from_doc(doc)
+
 
 class TestKLDoc:
     def test_pairs_cover_comparable_ids(self, a3):
