@@ -38,8 +38,8 @@ class BruhatInterval:
         self.system = system
         self.top = top
         self._build()
-        self._below = None
-        self._succ = None
+        self._below_masks = None
+        self._succ_masks = None
 
     # -- construction -------------------------------------------------------
 
@@ -48,41 +48,14 @@ class BruhatInterval:
         left = sys._left
         top_length = self.top.length
 
-        # ids in (length, canonical word) order; within one length the
-        # order of the words (s,) + word(s*u) is that of (s, id of s*u)
-        ids = {sys._identity_key: 0}
-        keys = [sys._identity_key]
-        letter = [-1]
-        below = [-1]
-        starts = [0, 1]
-        for level in _subword_closure(sys, self.top.iword)[1:]:
-            ordered = []
-            for key in level:
-                for s in range(sys.rank):
-                    v = ids.get(left(s, key))
-                    if v is not None and v >= starts[-2]:
-                        ordered.append((s, v, key))
-                        break
-            ordered.sort()
-            for s, v, key in ordered:
-                ids[key] = len(keys)
-                keys.append(key)
-                letter.append(s)
-                below.append(v)
-            starts.append(len(keys))
-
-        words = [()]
-        for v in range(1, len(keys)):
-            words.append((letter[v],) + words[below[v]])
-        roots = sys._roots
-        self.vertices = []
-        for word, key in zip(words, keys):
-            el = sys._element(word)
-            if el._matrix is None:
-                el._matrix = tuple(roots[r] for r in key)
-            self.vertices.append(el)
+        self.vertices, ids, letter, below, starts = sys._sorted_elements(
+            _subword_closure(sys, self.top.iword)
+        )
         self.index = {el: i for i, el in enumerate(self.vertices)}
-        self.lengths = [len(w) for w in words]
+        self.lengths = [el.length for el in self.vertices]
+        # the id of each key, and for each id u its smallest left descent s
+        # and the id of s*u: the steps of the R recursion in ``kl``
+        self.key_ids, self.letter, self.below = ids, letter, below
 
         # edge step on the images of the needed roots, one length at a time;
         # an edge label t = u^-1 v has ell(t) <= ell(u) + ell(v) < 2 ell(y)
@@ -124,23 +97,23 @@ class BruhatInterval:
     @property
     def below_masks(self) -> list[int]:
         """For each vertex v, the bitset of ids x with x <= v."""
-        if self._below is None:
+        if self._below_masks is None:
             masks = [1 << i for i in range(len(self.vertices))]
             for u, v in self.hasse_edges:
                 masks[v] |= masks[u]
             # hasse edges go up in id order, so one ascending pass suffices
-            self._below = masks
-        return self._below
+            self._below_masks = masks
+        return self._below_masks
 
     @property
     def succ_masks(self) -> list[int]:
         """For each vertex u, the bitset of v with a Bruhat edge u -> v."""
-        if self._succ is None:
+        if self._succ_masks is None:
             masks = [0] * len(self.vertices)
             for u, v, _ in self.bruhat_edges:
                 masks[u] |= 1 << v
-            self._succ = masks
-        return self._succ
+            self._succ_masks = masks
+        return self._succ_masks
 
     def length_masks(self) -> dict[int, int]:
         """Bitset of vertex ids for each length value."""

@@ -38,6 +38,13 @@ def parse_budget(text: str) -> int:
     return value
 
 
+def parse_workers(text: str) -> int:
+    """Accept a positive integer worker count."""
+    if not re.fullmatch(r"\d+", text) or int(text) <= 0:
+        raise argparse.ArgumentTypeError(f"bad worker count {text!r}; must be a positive integer")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bruhat-cubulator",
@@ -63,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cubulate", help="search for a cubical-lattice spanning subgraph")
     common(p)
     p.add_argument("--budget", type=parse_budget, help="node-expansion budget, e.g. 10^9")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=parse_workers, default=1)
     p.add_argument("--checkpoint", help="checkpoint file to resume from / write to")
 
     p = sub.add_parser("construct", help="run a closed-form construction")

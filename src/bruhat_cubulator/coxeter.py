@@ -1,20 +1,27 @@
 """Coxeter systems acting on simple-root coordinates with exact scalars.
 
 A system is built from a type label ("A3", "Btilde2", "I2(7)") or an
-explicit Coxeter matrix.  Elements are stored as lexicographically first
-reduced words; lengths, descents, and reflection tests all reduce to sign
-queries on root vectors, which are exact in every arithmetic tier.
+explicit Coxeter matrix.
+
+Each system keeps a table of the roots it has met so far: an id per root
+vector, the sign of each id, and ``act[s][rid]``, the id of s(root),
+filled on first use.  An element u is named by its key, the tuple of root
+ids of u(alpha_1), ..., u(alpha_n) (Casselman, "Machine calculations in
+Weyl groups", Invent. Math. 116, 1994), and every group operation runs on
+keys:
+
+- left-multiplying by a generator costs n table lookups;
+- right-multiplying by s updates the key's root vectors by one column
+  operation and looks the results up;
+- s is a right descent of u iff u(alpha_s) < 0, one sign lookup, and a
+  left descent iff it is a right descent of u^-1.
+
+Each element also carries its lexicographically first reduced word, read
+from the key of u^-1; lengths, the canonical order and all output use it.
 
 Generator labels are 1..n for finite types and 0..n for affine types.
 Words are exposed as tuples of labels; internally they are 0-based index
 tuples in label order.
-
-Each system also keeps a table of the roots it has met so far: an id per
-root vector, the sign of each id, and ``act[s][rid]``, the id of
-s(root), filled on first use.  An element u is then named by its key, the
-tuple of root ids of u(alpha_1), ..., u(alpha_n), and left-multiplying by
-a generator costs n table lookups (Casselman, "Machine calculations in
-Weyl groups", Invent. Math. 116, 1994).
 """
 
 from __future__ import annotations
@@ -173,7 +180,6 @@ class CoxeterSystem:
         self._init_action()
         self._init_roots()
         self._elements: dict[tuple, Element] = {}
-        self._leq_cache: dict[tuple, bool] = {}
         self._refl: list[tuple] = []
         self._refl_ends: list[int] = []
         self._refl_seen: set[int] = set()
@@ -233,7 +239,6 @@ class CoxeterSystem:
         self._alpha = tuple(
             tuple(self._one if i == j else self._zero for j in range(n)) for i in range(n)
         )
-        self._id_mat = self._alpha
 
     def _init_roots(self):
         self._roots: list[tuple] = []
@@ -284,7 +289,20 @@ class CoxeterSystem:
             key = self._left(s, key)
         return key
 
-    # -- vector / matrix primitives (index space) ---------------------------
+    def _right(self, key, s) -> tuple:
+        """Key of u*s from the key of u.
+
+        u(s(alpha_j)) = u(alpha_j) - c_sj u(alpha_s): the column update on
+        the key's root vectors, each result looked up in the root table.
+        """
+        roots = self._roots
+        col_s = roots[key[s]]
+        return tuple(
+            self._root_id(tuple(a - c * b for a, b in zip(roots[r], col_s))) if c else r
+            for r, c in zip(key, self._crow[s])
+        )
+
+    # -- root vectors (index space) -----------------------------------------
 
     def _apply(self, i, v):
         """Image of root vector v under the i-th simple reflection."""
@@ -312,98 +330,96 @@ class CoxeterSystem:
             raise AssertionError("zero root vector")
         return sign
 
-    def _mat_vec(self, mat, x):
-        out = [self._zero] * self.rank
-        for j, xj in enumerate(x):
-            if xj:
-                col = mat[j]
-                for i in range(self.rank):
-                    out[i] = out[i] + xj * col[i]
-        return tuple(out)
+    # -- words from keys ----------------------------------------------------
 
-    def _mat_mul(self, a, b):
-        return tuple(self._mat_vec(a, col) for col in b)
+    def _strip(self, key, limit):
+        """Strip the smallest right descent below ``limit`` while one exists.
 
-    def _mat_mul_gen(self, mat, s):
-        """Matrix of w*s from the matrix of w, by a column update."""
-        row = self._crow[s]
-        col_s = mat[s]
-        return tuple(
-            tuple(
-                col[i] - row[j] * col_s[i] if row[j] else col[i]
-                for i in range(self.rank)
-            )
-            for j, col in enumerate(mat)
-        )
-
-    def _word_matrix(self, iword):
-        """Matrix (tuple of columns) of the element with the given index word."""
-        cols = []
-        for j in range(self.rank):
-            v = self._alpha[j]
-            for t in reversed(iword):
-                v = self._apply(t, v)
-            cols.append(v)
-        return tuple(cols)
-
-    # -- word combinatorics -------------------------------------------------
-
-    def _reduce(self, iword):
-        """A reduced index word for the product of the given letters."""
-        out = []
-        for s in iword:
-            v = self._alpha[s]
-            pos = None
-            for j in range(len(out) - 1, -1, -1):
-                if v == self._alpha[out[j]]:
-                    pos = j
-                    break
-                v = self._apply(out[j], v)
-            if pos is None:
-                out.append(s)
-            else:
-                del out[pos]
-        return tuple(out)
-
-    def _left_descent_delete(self, iword):
-        """Smallest left descent s of a reduced word, with the word for s*w.
-
-        Returns (s, shorter word) or (None, word) for the identity.
+        Returns (the stripped letters, the key left).  From the key of u^-1
+        the letters spell u from the left: a right descent s of u^-1 is a
+        left descent of u, and u^-1 s is the inverse of s*u.
         """
-        for s in range(self.rank):
-            v = self._alpha[s]
-            for j, t in enumerate(iword):
-                if v == self._alpha[t]:
-                    return s, iword[:j] + iword[j + 1 :]
-                v = self._apply(t, v)
-        if iword:
-            raise AssertionError("nonempty reduced word without a left descent")
-        return None, iword
+        sign = self._root_sign
+        letters = []
+        while True:
+            s = next((s for s in range(limit) if sign[key[s]] < 0), None)
+            if s is None:
+                return tuple(letters), key
+            letters.append(s)
+            key = self._right(key, s)
 
-    def _canonical(self, iword):
-        """Lexicographically first reduced index word for the product."""
-        w = self._reduce(iword)
-        out = []
-        while w:
-            s, w = self._left_descent_delete(w)
-            out.append(s)
-        return tuple(out)
+    def _canonical(self, key):
+        """Lexicographically first reduced index word of u, from the key of u^-1.
 
-    def _element(self, canonical_iword) -> "Element":
-        el = self._elements.get(canonical_iword)
+        Its first letter is the smallest left descent s of u, and the rest
+        is the word of s*u (Bjorner-Brenti, GTM 231, Ch. 2).
+        """
+        return self._strip(key, self.rank)[0]
+
+    def _element(self, key, iword) -> "Element":
+        """The element with this key; iword must be its canonical word."""
+        el = self._elements.get(key)
         if el is None:
-            el = Element(self, canonical_iword)
-            self._elements[canonical_iword] = el
+            el = self._elements[key] = Element(self, key, iword)
         return el
+
+    def _from_word(self, iword: tuple) -> "Element":
+        """The element of any index word, reduced or not."""
+        key = self._key(iword)
+        el = self._elements.get(key)
+        if el is None:
+            el = self._element(key, self._canonical(self._key(iword[::-1])))
+        return el
+
+    def _sorted_elements(self, levels):
+        """Elements for keys grouped by length, in (length, canonical word) order.
+
+        ``levels[l]`` holds keys of length l, and for every key u in it and
+        every left descent s of u, s*u must lie in ``levels[l - 1]``, as in a
+        lower interval or a ball.  The canonical word of u is (s,) +
+        word(s*u) for the smallest such s, the first s that finds s*u one
+        length down; within one length the words order as (s, id of s*u).
+
+        Returns (elements, ids, letter, below, starts): the elements in id
+        order, the id of each key, the smallest left descent s of each id
+        and the id of s*u (-1 at the identity), and the first id of each
+        length.
+        """
+        left = self._left
+        ids = {self._identity_key: 0}
+        keys = [self._identity_key]
+        letter = [-1]
+        below = [-1]
+        starts = [0, 1]
+        for level in levels[1:]:
+            ordered = []
+            for key in level:
+                for s in range(self.rank):
+                    v = ids.get(left(s, key))
+                    if v is not None:
+                        ordered.append((s, v, key))
+                        break
+            ordered.sort()
+            for s, v, key in ordered:
+                ids[key] = len(keys)
+                keys.append(key)
+                letter.append(s)
+                below.append(v)
+            starts.append(len(keys))
+        words = [()]
+        for v in range(1, len(keys)):
+            words.append((letter[v],) + words[below[v]])
+        elements = [self._element(key, word) for key, word in zip(keys, words)]
+        return elements, ids, letter, below, starts
 
     # -- public element API -------------------------------------------------
 
     @property
     def identity(self) -> "Element":
-        return self._element(())
+        return self._element(self._identity_key, ())
 
     def generator(self, label) -> "Element":
-        return self._element((self._idx[label],))
+        return self._from_word((self._idx[label],))
 
     def element(self, word) -> "Element":
         """Canonical element for a word of generator labels."""
@@ -416,45 +432,36 @@ class CoxeterSystem:
                     f"the labels are {valid}"
                 )
             iword.append(self._idx[a])
-        return self._element(self._canonical(tuple(iword)))
+        return self._from_word(tuple(iword))
 
     def multiply(self, w: "Element", v: "Element") -> "Element":
         if w.system is not self or v.system is not self:
             raise ValueError("elements from a different system")
-        return self._element(self._canonical(w.iword + v.iword))
+        return self._from_word(w.iword + v.iword)
+
+    def _descents(self, key) -> frozenset:
+        """Labels s with u(alpha_s) < 0, for u the element with this key."""
+        sign = self._root_sign
+        return frozenset(self.labels[s] for s, r in enumerate(key) if sign[r] < 0)
 
     def right_descents(self, w: "Element") -> frozenset:
-        mat = w.matrix
-        return frozenset(
-            self.labels[s] for s in range(self.rank) if self._vec_sign(mat[s]) < 0
-        )
+        return self._descents(w.key)
 
     def left_descents(self, w: "Element") -> frozenset:
-        out = []
-        for s in range(self.rank):
-            v = self._alpha[s]
-            neg = False
-            for j, t in enumerate(w.iword):
-                if v == self._alpha[t]:
-                    neg = True
-                    break
-                v = self._apply(t, v)
-            if neg:
-                out.append(self.labels[s])
-        return frozenset(out)
+        return self._descents(self._key(w.iword[::-1]))
 
     def is_reflection(self, w: "Element") -> bool:
         """True iff w is conjugate to a generator.
 
-        Decided by the matrix test: w is an involution other than the
-        identity whose representation matrix fixes a hyperplane
-        (rank(M - I) = 1).
+        Decided by the matrix test on the key's root vectors: w is an
+        involution other than the identity whose representation matrix
+        fixes a hyperplane (rank(M - I) = 1).
         """
         if w.length % 2 == 0:
             return False
         if w.inverse() is not w:
             return False
-        mat = w.matrix
+        mat = [self._roots[r] for r in w.key]
         n = self.rank
         diff = [
             [mat[j][i] - (self._one if i == j else self._zero) for i in range(n)]
@@ -479,30 +486,16 @@ class CoxeterSystem:
 
         x_k lies in the parabolic subgroup on the first k generators and has
         no left descent among the first k-1; concatenating the canonical
-        words of the factors yields the canonical word of w.
+        words of the factors yields the canonical word of w.  Each x_k is
+        what is left of the current prefix after stripping its left
+        descents among the first k-1 generators.
         """
         factors = [None] * self.rank
-        cur = w.iword
+        key = self._key(w.iword[::-1])
         for k in range(self.rank - 1, -1, -1):
-            prefix = []
-            x = cur
-            while True:
-                hit = None
-                for s in range(k):
-                    v = self._alpha[s]
-                    for j, t in enumerate(x):
-                        if v == self._alpha[t]:
-                            hit = (s, x[:j] + x[j + 1 :])
-                            break
-                        v = self._apply(t, v)
-                    if hit:
-                        break
-                if hit is None:
-                    break
-                prefix.append(hit[0])
-                x = hit[1]
-            factors[k] = self._element(self._canonical(x))
-            cur = tuple(prefix)
+            prefix, key = self._strip(key, k)
+            factors[k] = self._from_word(self._canonical(key))
+            key = self._key(prefix[::-1])
         return tuple(factors)
 
     def longest_element(self) -> "Element":
@@ -511,19 +504,16 @@ class CoxeterSystem:
             return self._longest
         if not self.is_finite():
             raise ValueError("longest element requires a finite system")
+        sign = self._root_sign
         word = []
-        mat = self._id_mat
+        key = self._identity_key
         while True:
-            free = None
-            for s in range(self.rank):
-                if self._vec_sign(mat[s]) > 0:
-                    free = s
-                    break
+            free = next((s for s, r in enumerate(key) if sign[r] > 0), None)
             if free is None:
                 break
             word.append(free)
-            mat = self._mat_mul_gen(mat, free)
-        self._longest = self._element(self._canonical(tuple(word)))
+            key = self._right(key, free)
+        self._longest = self._from_word(tuple(word))
         return self._longest
 
     def diagram_automorphism(self, permutation, w: "Element") -> "Element":
@@ -535,30 +525,30 @@ class CoxeterSystem:
             for b in self.labels:
                 if self.m(perm[a], perm[b]) != self.m(a, b):
                     raise ValueError("permutation is not a diagram automorphism")
-        iword = tuple(self._idx[perm[self.labels[s]]] for s in w.iword)
-        return self._element(self._canonical(iword))
+        return self._from_word(tuple(self._idx[perm[self.labels[s]]] for s in w.iword))
 
     # -- Bruhat order -------------------------------------------------------
 
     def bruhat_leq(self, x: "Element", y: "Element") -> bool:
-        """Decide x <= y in Bruhat order by the descent-lifting recursion."""
+        """Decide x <= y in Bruhat order by lifting along y's word.
+
+        The last letter s of a reduced word of y is a right descent of y,
+        and by the lifting property x <= y iff xs <= ys when s is a right
+        descent of x, else iff x <= ys.  Only x's key moves, by one right
+        multiplication per descent of x; other letters cost a sign lookup.
+        """
         if x.system is not self or y.system is not self:
             raise ValueError("elements from a different system")
-        if x.length == 0:
-            return True
-        if x.length > y.length:
-            return False
-        key = (x.iword, y.iword)
-        res = self._leq_cache.get(key)
-        if res is None:
-            s = min(self.right_descents(y))
-            ys = self.multiply(y, self.generator(s))
-            if s in self.right_descents(x):
-                res = self.bruhat_leq(self.multiply(x, self.generator(s)), ys)
-            else:
-                res = self.bruhat_leq(x, ys)
-            self._leq_cache[key] = res
-        return res
+        sign = self._root_sign
+        key, lx, ly = x.key, x.length, y.length
+        for s in reversed(y.iword):
+            if lx == 0 or lx > ly:
+                break
+            if sign[key[s]] < 0:
+                key = self._right(key, s)
+                lx -= 1
+            ly -= 1
+        return lx == 0
 
     # -- reflections --------------------------------------------------------
 
@@ -575,7 +565,8 @@ class CoxeterSystem:
         """
         if not self._refl_ends:
             for s in range(self.rank):
-                self._refl.append((self._element((s,)), s, self._key((s,))))
+                t = self._from_word((s,))
+                self._refl.append((t, s, t.key))
                 self._refl_seen.add(s)
                 self._refl_frontier.append((s, (s,)))
             self._refl_ends.append(len(self._refl))
@@ -589,9 +580,8 @@ class CoxeterSystem:
                     npath = (i,) + path
                     self._refl_seen.add(nr)
                     new_layer.append((nr, npath))
-                    tword = npath + tuple(reversed(npath[:-1]))
-                    t = self._element(self._canonical(tword))
-                    self._refl.append((t, nr, self._key(tword)))
+                    t = self._from_word(npath + npath[-2::-1])
+                    self._refl.append((t, nr, t.key))
             self._refl_frontier = new_layer
             self._refl_ends.append(len(self._refl))
         reached = min(depth, len(self._refl_ends))
@@ -599,55 +589,40 @@ class CoxeterSystem:
 
     # -- balls --------------------------------------------------------------
 
-    def ball_layers(self, radius: int) -> list:
-        """Elements grouped by length, for lengths 0..radius."""
-        layers = [[self.identity]]
-        seen = {self._id_mat}
-        frontier = [((), self._id_mat)]
+    def _ball_levels(self, radius: int) -> list:
+        """Keys of the elements of each length 0..radius, breadth first.
+
+        s*u is one length above or below u, so a key met from length l that
+        is not of length l - 1 is of length l + 1.  A finite group ends with
+        an empty level.
+        """
+        left = self._left
+        levels = [[self._identity_key]]
+        older = set()
         for _ in range(radius):
-            nxt = []
-            layer = []
-            for iword, mat in frontier:
+            nxt = {}
+            for key in levels[-1]:
                 for s in range(self.rank):
-                    if self._vec_sign(mat[s]) < 0:
-                        continue
-                    nmat = self._mat_mul_gen(mat, s)
-                    if nmat in seen:
-                        continue
-                    seen.add(nmat)
-                    nword = iword + (s,)
-                    nxt.append((nword, nmat))
-                    layer.append(nword)
-            layers.append([self._element(self._canonical(wd)) for wd in sorted(layer)])
-            frontier = nxt
+                    k = left(s, key)
+                    if k not in older:
+                        nxt[k] = None
+            older = set(levels[-1])
+            levels.append(list(nxt))
             if not nxt:
                 break
-        while len(layers) < radius + 1:
-            layers.append([])
+        return levels
+
+    def ball_layers(self, radius: int) -> list:
+        """Elements grouped by length, for lengths 0..radius."""
+        elements, _, _, _, starts = self._sorted_elements(self._ball_levels(radius))
+        layers = [elements[a:b] for a, b in zip(starts, starts[1:])]
+        layers += [[] for _ in range(radius + 1 - len(layers))]
         return layers
 
     def ball_layer_counts(self, radius: int) -> list:
-        """Number of elements of each length 0..radius (no canonicalization)."""
-        counts = [1]
-        seen = {self._id_mat}
-        frontier = [self._id_mat]
-        for _ in range(radius):
-            nxt = []
-            for mat in frontier:
-                for s in range(self.rank):
-                    if self._vec_sign(mat[s]) < 0:
-                        continue
-                    nmat = self._mat_mul_gen(mat, s)
-                    if nmat not in seen:
-                        seen.add(nmat)
-                        nxt.append(nmat)
-            counts.append(len(nxt))
-            frontier = nxt
-            if not nxt:
-                break
-        while len(counts) < radius + 1:
-            counts.append(0)
-        return counts
+        """Number of elements of each length 0..radius (no words made)."""
+        counts = [len(level) for level in self._ball_levels(radius)]
+        return counts + [0] * (radius + 1 - len(counts))
 
     # -- diagram combinatorics ----------------------------------------------
 
@@ -763,14 +738,17 @@ class CoxeterSystem:
 # elements
 
 class Element:
-    """A group element, held as its lexicographically first reduced word."""
+    """A group element: its key and its lexicographically first reduced word.
 
-    __slots__ = ("system", "iword", "_matrix", "_word", "_inverse")
+    Each system makes one Element per key, so elements compare by identity.
+    """
 
-    def __init__(self, system: CoxeterSystem, iword: tuple):
+    __slots__ = ("system", "key", "iword", "_word", "_inverse")
+
+    def __init__(self, system: CoxeterSystem, key: tuple, iword: tuple):
         self.system = system
+        self.key = key
         self.iword = iword
-        self._matrix = None
         self._word = None
         self._inverse = None
 
@@ -785,17 +763,9 @@ class Element:
     def length(self) -> int:
         return len(self.iword)
 
-    @property
-    def matrix(self):
-        if self._matrix is None:
-            self._matrix = self.system._word_matrix(self.iword)
-        return self._matrix
-
     def inverse(self) -> "Element":
         if self._inverse is None:
-            inv = self.system._element(
-                self.system._canonical(tuple(reversed(self.iword)))
-            )
+            inv = self.system._from_word(self.iword[::-1])
             self._inverse = inv
             inv._inverse = self
         return self._inverse

@@ -1,8 +1,7 @@
 """R-polynomials and Kazhdan-Lusztig polynomials over lower intervals.
 
-R-polynomials follow the right-descent recursion and are memoized per
-system, so tables for overlapping intervals share work.  P-polynomials are
-recovered from the defining identity
+R-polynomials follow the left-descent recursion on interval ids and are
+memoized per table.  P-polynomials are recovered from the defining identity
 
     q^(l(y)-l(x)) P_xy(1/q) = sum_{w in [x,y]} R_xw P_wy
 
@@ -17,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bruhat import BruhatInterval, interval, out_degree_in_interval, poincare_polynomial
+from .bruhat import BruhatInterval, interval, poincare_polynomial
 from .coxeter import Element
 from .polynomials import IntPoly, ONE, ZERO, is_palindromic
 
@@ -31,24 +30,13 @@ class KLConsistencyError(RuntimeError):
 
 def r_polynomial(x: Element, y: Element) -> IntPoly:
     """The R-polynomial R_{x,y}; zero unless x <= y."""
-    if x == y:
-        return ONE
-    sys = x.system
-    if not sys.bruhat_leq(x, y):
+    if x.system is not y.system:
+        raise ValueError("elements from a different system")
+    iv = interval(y)
+    x_id = iv.index.get(x)
+    if x_id is None:
         return ZERO
-    cache = sys.__dict__.setdefault("_r_poly_cache", {})
-    key = (x.iword, y.iword)
-    res = cache.get(key)
-    if res is None:
-        s = min(sys.right_descents(y))
-        g = sys.generator(s)
-        ys = y * g
-        if s in sys.right_descents(x):
-            res = r_polynomial(x * g, ys)
-        else:
-            res = _Q * r_polynomial(x * g, ys) + _QM1 * r_polynomial(x, ys)
-        cache[key] = res
-    return res
+    return KLTable(iv).R(x_id, len(iv) - 1)
 
 
 class KLTable:
@@ -57,10 +45,32 @@ class KLTable:
     def __init__(self, iv: BruhatInterval):
         self.interval = iv
         self._p: dict[tuple[int, int], IntPoly] = {}
+        self._r: dict[tuple[int, int], IntPoly] = {}
 
     def R(self, x_id: int, y_id: int) -> IntPoly:
+        """The R-polynomial R_{x,y'} for interval vertices.
+
+        With s the smallest left descent of y', R_{x,y'} = R_{sx,sy'} when
+        s is a left descent of x, else q R_{sx,sy'} + (q-1) R_{x,sy'}.  For
+        x <= y' both sx and sy' lie in [1, y'] (the lifting property), and
+        s*y' is the build's ``below`` entry.
+        """
+        if x_id == y_id:
+            return ONE
         iv = self.interval
-        return r_polynomial(iv.vertices[x_id], iv.vertices[y_id])
+        if not iv.leq_ids(x_id, y_id):
+            return ZERO
+        key = (x_id, y_id)
+        res = self._r.get(key)
+        if res is None:
+            s, sy = iv.letter[y_id], iv.below[y_id]
+            sx = iv.key_ids[iv.system._left(s, iv.vertices[x_id].key)]
+            if iv.lengths[sx] < iv.lengths[x_id]:
+                res = self.R(sx, sy)
+            else:
+                res = _Q * self.R(sx, sy) + _QM1 * self.R(x_id, sy)
+            self._r[key] = res
+        return res
 
     def P(self, x_id: int, y_id: int) -> IntPoly:
         """The Kazhdan-Lusztig polynomial P_{x,y'} for interval vertices."""

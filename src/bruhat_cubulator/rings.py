@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .polynomials import IntPoly, ONE
+from .polynomials import IntPoly
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ import random
 
 from . import constructions as cx
 from . import growth, search
-from .bruhat import interval, poincare_polynomial
+from .bruhat import interval
 from .coxeter import build_system
 from .kl import all_trivial, kl_polynomial, r_polynomial
 from .polynomials import IntPoly

@@ -148,13 +148,42 @@ def _solve_exact(rows, width):
     return sol
 
 
+def word_matrix(system: CoxeterSystem, iword: tuple) -> tuple:
+    """Matrix (tuple of columns) of the element with an index word.
+
+    Built by applying the word's simple reflections to each simple root,
+    never from the root-id keys the package uses.
+    """
+    cols = []
+    for v in system._alpha:
+        for s in reversed(iword):
+            v = system._apply(s, v)
+        cols.append(v)
+    return tuple(cols)
+
+
+def matrix_product(system: CoxeterSystem, a: tuple, b: tuple) -> tuple:
+    """Product of two matrices given as tuples of columns."""
+
+    def times_vector(x):
+        out = [system._zero] * system.rank
+        for j, xj in enumerate(x):
+            if xj:
+                for i, c in enumerate(a[j]):
+                    out[i] = out[i] + xj * c
+        return tuple(out)
+
+    return tuple(times_vector(col) for col in b)
+
+
 def multiplication_table(system: CoxeterSystem) -> dict:
     """Full multiplication table of a finite system from matrix products."""
     radius = system.longest_element().length
     elements = [el for layer in system.ball_layers(radius) for el in layer]
-    by_matrix = {el.matrix: el for el in elements}
+    matrix = {el: word_matrix(system, el.iword) for el in elements}
+    by_matrix = {m: el for el, m in matrix.items()}
     table = {}
     for a in elements:
         for b in elements:
-            table[(a, b)] = by_matrix[system._mat_mul(a.matrix, b.matrix)]
+            table[(a, b)] = by_matrix[matrix_product(system, matrix[a], matrix[b])]
     return table

@@ -113,11 +113,13 @@ class TestEdges:
 
 
 class TestMasks:
-    def test_below_masks_match_leq(self, b3):
-        iv = interval(b3.element((2, 1, 3, 2, 1)))
-        for x_id, x in enumerate(iv.vertices):
-            for y_id, y in enumerate(iv.vertices):
-                assert iv.leq_ids(x_id, y_id) == b3.bruhat_leq(x, y)
+    def test_below_masks_match_leq(self):
+        for tag, word in CASES + [("B3", (2, 1, 3, 2, 1))]:
+            iv = interval(case_element(tag, word))
+            leq = iv.system.bruhat_leq
+            for x_id, x in enumerate(iv.vertices):
+                for y_id, y in enumerate(iv.vertices):
+                    assert iv.leq_ids(x_id, y_id) == leq(x, y), (tag, word, x, y)
 
     def test_succ_masks(self, a3):
         iv = interval(a3.element((2, 1, 3, 2)))

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from bruhat_cubulator import suites
 from bruhat_cubulator.cli import main, parse_budget
 
 
@@ -122,6 +123,15 @@ class TestCubulate:
         assert out2 == ""
         assert err2.startswith("error:") and "checkpoint" in err2
 
+    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
+    def test_bad_worker_count(self, capsys, workers):
+        with pytest.raises(SystemExit) as exc:
+            main(["cubulate", "--system", "A2", "--element", "w0", "--workers", workers])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"bad worker count {workers!r}" in captured.err
+
     def test_malformed_checkpoint_is_refused(self, capsys, tmp_path):
         cp = tmp_path / "cp.json"
         cp.write_text(json.dumps({"schema": "bruhat-cubulator/1", "kind": "interval"}))
@@ -212,6 +222,11 @@ class TestErrorsAndSuites:
         doc = json.loads(out)
         assert doc["passed"] is True
         assert all(c["status"] == "pass" for c in doc["checks"])
+
+    @pytest.mark.parametrize("name", suites.SUITE_NAMES)
+    def test_every_suite_passes(self, name):
+        report = suites.run_suite(name)
+        assert report["passed"], [c for c in report["checks"] if c["status"] != "pass"]
 
     def test_suite_output_is_byte_stable(self, capsys):
         _, first, _ = run(capsys, "suite", "smoke")

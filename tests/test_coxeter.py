@@ -59,8 +59,8 @@ class TestWords:
         sys = system(tag)
         word = data.draw(words(tag))
         el = sys.element(word)
-        assert sys._word_matrix(el.iword) == sys._word_matrix(
-            tuple(sys._idx[a] for a in word)
+        assert oracles.word_matrix(sys, el.iword) == oracles.word_matrix(
+            sys, tuple(sys._idx[a] for a in word)
         )
         assert el.length <= len(word)
         assert el.length % 2 == len(word) % 2
@@ -243,6 +243,16 @@ class TestBruhatOrder:
         below = oracles.subword_interval(y)
         for x in [e for layer in sys.ball_layers(min(6, y.length)) for e in layer]:
             assert sys.bruhat_leq(x, y) == (x in below)
+
+    def test_leq_far_past_the_recursion_limit(self, atilde2):
+        # l(y) = 1200: lifting along y's word, with no recursion
+        y = atilde2.element((0, 1, 2) * 400)
+        assert y.length == 1200
+        drop_last = atilde2.element((0, 1, 2) * 399 + (0, 1))
+        assert atilde2.bruhat_leq(drop_last, y)
+        # a subword taking s1 from one triple and s0 s2 from the next
+        assert atilde2.bruhat_leq(atilde2.element((1, 0, 2) * 200), y)
+        assert not atilde2.bruhat_leq(y, drop_last)
 
     def test_ball_counts(self, atilde2):
         assert atilde2.ball_layer_counts(3) == [1, 3, 6, 9]

@@ -1,0 +1,50 @@
+"""Golden outputs: the SHA-256 of the stdout of a few fast CLI jobs.
+
+Serialized documents are byte-stable, so a refactor must leave every digest
+unchanged.  The set covers each subcommand that prints a document, the
+integer, ring (H3) and affine tiers.  A deliberate output change updates
+the digest here and names the change in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from bruhat_cubulator.cli import main
+
+GOLDEN = [
+    (
+        ("interval", "--system", "A3", "--element", "w0"),
+        "c1a82c8b156c20361a5eda068dc18c890329f10c70f8c1ce2e9bb2ffbf87a777",
+    ),
+    (
+        ("kl", "--system", "A3", "--word", "2 1 3 2"),
+        "b2435b017f44bce20f06512d230965fff7ff85875e24a138b593f4e0c14afaa8",
+    ),
+    (
+        ("kl", "--system", "H3", "--word", "1 2 1 2 1 3 2 1 2 1"),
+        "3641c145ed5ee599c2d5b0ed99f7be39d7ba5cf5a764241070da4c28ab7ca165",
+    ),
+    (
+        ("cubulate", "--system", "B3", "--element", "w0"),
+        "375be0f935e0a832041d78116caab5c2e9f21a93e029e996048827b0abe6344a",
+    ),
+    (
+        ("construct", "--system", "Atilde2", "--construction", "atilde2", "--m", "3"),
+        "f45dcbe097273ceaa69142617402fc3dc1d399bf55d2278202f6453c97495fee",
+    ),
+    (
+        ("growth", "--system", "Atilde2", "--order", "10"),
+        "60db1c54e5144340c2f020d6dcf00beaeaee97f7ff8ccb27359a6a489f81e697",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_stdout_digest(capsys, argv, digest):
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bruhat_cubulator.bruhat import interval, poincare_polynomial
+from bruhat_cubulator.constructions import y_m
 from bruhat_cubulator.kl import (
     KLConsistencyError,
     KLTable,
@@ -49,11 +50,19 @@ class TestRPolynomials:
         assert r_polynomial(w, a3.identity) == ZERO
 
     def test_descent_choice_independent(self, b3):
+        # the integer tier on a ball, the ring tier (H3) and the affine tier
+        # (y_2 in Atilde2) on lower intervals
         rng = random.Random(7)
-        elements = [e for layer in b3.ball_layers(4) for e in layer]
-        for x in elements:
-            for y in elements:
-                assert r_polynomial(x, y) == r_random_descent(x, y, rng)
+        h3 = system("H3")
+        atilde2 = system("Atilde2")
+        for elements in (
+            [e for layer in b3.ball_layers(4) for e in layer],
+            interval(h3.element((1, 2, 1, 2, 3, 2, 1))).vertices,
+            interval(y_m(atilde2, 2)).vertices,
+        ):
+            for x in elements:
+                for y in elements:
+                    assert r_polynomial(x, y) == r_random_descent(x, y, rng), (x, y)
 
     def test_degree_and_q1_evaluation(self, a3):
         iv = interval(a3.longest_element())
