@@ -166,11 +166,3 @@ def poincare_polynomial(iv: BruhatInterval) -> IntPoly:
     for l in iv.lengths:
         coeffs[l] += 1
     return IntPoly(coeffs)
-
-
-def out_degree_in_interval(iv: BruhatInterval, x: Element) -> int:
-    """Number of Bruhat-graph edges leaving x inside the interval."""
-    x_id = iv.index.get(x)
-    if x_id is None:
-        raise ValueError(f"{x!r} is not in the interval")
-    return iv.succ_masks[x_id].bit_count()

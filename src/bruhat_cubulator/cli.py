@@ -70,7 +70,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cubulate", help="search for a cubical-lattice spanning subgraph")
     common(p)
     p.add_argument("--budget", type=parse_budget, help="node-expansion budget, e.g. 10^9")
-    p.add_argument("--workers", type=parse_workers, default=1)
+    p.add_argument(
+        "--workers",
+        type=parse_workers,
+        default=1,
+        help="accepted for compatibility; the search runs serially",
+    )
     p.add_argument("--checkpoint", help="checkpoint file to resume from / write to")
 
     p = sub.add_parser("construct", help="run a closed-form construction")
@@ -145,7 +150,7 @@ def _cmd_cubulate(args) -> int:
         doc = json.loads(Path(args.checkpoint).read_text(encoding="utf-8"))
         checkpoint = serialize.checkpoint_from_doc(doc)
     iv = interval(y)
-    outcome = cubulate(y, budget=args.budget, workers=args.workers, checkpoint=checkpoint, iv=iv)
+    outcome = cubulate(y, budget=args.budget, checkpoint=checkpoint, iv=iv)
     _emit(serialize.dumps(serialize.outcome_doc(iv, outcome)), args.out)
     if outcome.status == BUDGET_EXCEEDED and args.checkpoint:
         Path(args.checkpoint).write_text(

@@ -1,9 +1,12 @@
 """Ball growth, Poincare series truncations, and Bott's product formula.
 
 All series live as exact integer truncations.  The quantum-shape probe
-factors truncations of (1 - z)^|S| W(z) into products of (1 - z^a) terms;
-it reports every consistent shape per order and flags stabilization, which
-is finite evidence only, never a statement about the full series.
+factors truncations of (1 - z)^|S| W(z) into products of (1 - z^a) terms.
+Such a factorization through order j is unique when it exists (its
+exponents are fixed one coefficient at a time), so the probe peels the
+exponents once and reads each order's shape off them.  It flags
+stabilization, which is finite evidence only, never a statement about the
+full series.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 
 from .coxeter import CoxeterSystem, Element
-from .polynomials import IntPoly, ONE, SeriesTruncation, truncated_rational
+from .polynomials import IntPoly, ONE, SeriesTruncation, euler_exponents, truncated_rational
 
 
 def exponents(tag) -> tuple[int, ...]:
@@ -150,8 +153,9 @@ class GrowthProbeReport:
 
     ``shapes_by_order[j]`` lists every multiset (a_1 <= ... <= a_N) with
     N <= |S| and a_i <= j whose product of (1 - z^(a_i)) agrees with F(z)
-    through order j.  Stabilization means the set is the same singleton
-    from ``stabilization_index`` through the final order probed.
+    through order j; there is at most one.  Stabilization means the set is
+    the same singleton from ``stabilization_index`` through the final order
+    probed.
     """
 
     order: int
@@ -171,25 +175,17 @@ def growth_quantum_probe(system: CoxeterSystem, order: int) -> GrowthProbeReport
         raise ValueError("order must be at least 1")
     if system.is_finite():
         raise ValueError("the probe applies to infinite systems")
-    from itertools import combinations_with_replacement
-
     n = system.rank
     f = poincare_truncation(system, order)
     for _ in range(n):
         f = f.mul_poly(_one_minus_z_pow(1))
     shapes_by_order: dict[int, tuple] = {}
-    for j in range(1, order + 1):
-        target = f.coeffs[: j + 1]
-        found = []
-        for count in range(n + 1):
-            for combo in combinations_with_replacement(range(1, j + 1), count):
-                prod = ONE
-                for a in combo:
-                    prod = prod * _one_minus_z_pow(a)
-                pc = prod.coeffs + (0,) * (j + 1 - len(prod.coeffs))
-                if pc[: j + 1] == target:
-                    found.append(combo)
-        shapes_by_order[j] = tuple(sorted(found))
+    shape: tuple[int, ...] | None = ()
+    for j, c in enumerate(euler_exponents(f.coeffs, order), 1):
+        # the exponents of a_1, ..., a_j are those of F through order j
+        if shape is not None:
+            shape = shape + (j,) * c if c >= 0 and len(shape) + c <= n else None
+        shapes_by_order[j] = (shape,) if shape is not None else ()
     stab_index = None
     stab_shape = None
     last = shapes_by_order[order]

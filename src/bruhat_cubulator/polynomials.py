@@ -188,28 +188,47 @@ def validate_quantum_shape(shape: Sequence[int]) -> tuple[int, ...]:
     return shape
 
 
+def euler_exponents(coeffs: Sequence[int], order: int) -> list[int]:
+    """The c_1, ..., c_order with F = prod (1 - z^a)^(c_a) modulo z^(order + 1).
+
+    ``coeffs`` are F's leading coefficients, with constant term 1; missing
+    ones count as 0.  The exponents exist, are integers and are unique:
+    zF'/F = -sum_k z^k sum_{a | k} a c_a fixes c_k once c_a is known for
+    every a < k.
+    """
+    f = list(coeffs[: order + 1]) + [0] * (order + 1 - len(coeffs))
+    if f[0] != 1:
+        raise ValueError("series must have constant term 1")
+    log = [0] * (order + 1)  # coefficients of zF'/F
+    c = [0] * (order + 1)
+    for k in range(1, order + 1):
+        log[k] = k * f[k] - sum(f[i] * log[k - i] for i in range(1, k))
+        c[k] = -(log[k] + sum(a * c[a] for a in range(1, k) if k % a == 0)) // k
+    return c[1:]
+
+
 def quantum_factorizations(p: IntPoly) -> set[tuple[int, ...]]:
     """All multisets (a_1 <= ... <= a_N), a_i >= 2, with p = prod quantum_poly(a_i).
 
     Returns the empty set when no factorization exists, and {()} exactly
-    when p == 1.  Recursive trial division with a lower bound keeps the
-    shapes weakly increasing and deduplicated.
+    when p == 1.  There is at most one factorization: N is the z-coefficient
+    of p, and (1 - z)^N p = prod (1 - z^(a_i)) has unique exponents.
     """
     if p.is_zero() or p(0) != 1:
         raise ValueError("input must be nonzero with constant term 1")
-    out: set[tuple[int, ...]] = set()
-
-    def rec(rem: IntPoly, lo: int, acc: tuple[int, ...]):
-        if rem == ONE:
-            out.add(acc)
-            return
-        for a in range(lo, rem.degree + 2):
-            q, r = divmod(rem, quantum_poly(a))
-            if r.is_zero():
-                rec(q, a, acc + (a,))
-
-    rec(p, 2, ())
-    return out
+    n = p.coeffs[1] if p.degree >= 1 else 0
+    if n < 0:
+        return set()
+    f = p
+    for _ in range(n):
+        f = f * IntPoly((1, -1))
+    c = euler_exponents(f.coeffs, f.degree)  # c_1 = 0, as f has no z term
+    if min(c, default=0) < 0 or sum(c) != n:
+        return set()
+    # q = prod quantum_poly(a)^(c_a) agrees with p through degree
+    # deg p + n, and its coefficients are positive up to its own degree,
+    # so it is no longer than p: q == p
+    return {tuple(a for a, k in enumerate(c, 1) for _ in range(k))}
 
 
 class SeriesTruncation:

@@ -6,16 +6,17 @@ for a vertex is a bitset intersection: interval vertices of the right
 length, unused, and Bruhat-successors of every assigned predecessor.
 Candidates are consumed in increasing vertex id, which makes runs
 deterministic and lets a checkpoint consist of just the chosen-id path.
+An element has at most one candidate shape, so ``cubulate`` is a single
+serial search.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 
 from .bruhat import BruhatInterval, interval, poincare_polynomial
-from .coxeter import Element, build_system
+from .coxeter import Element
 from .cube import CubicalLattice
 from .polynomials import quantum_factorizations
 
@@ -44,7 +45,8 @@ def candidate_shapes(iv: BruhatInterval) -> list[tuple]:
     """Quantum factorizations of p_y with exactly |support(y)| factors.
 
     An empty list proves that [1, y] has no cubulation: any cubulating
-    lattice forces such a factorization.
+    lattice forces such a factorization.  The list has at most one entry,
+    since a quantum factorization is unique.
     """
     p = poincare_polynomial(iv)
     n = len(iv.system.support(iv.top))
@@ -66,7 +68,9 @@ def search(
     """Exhaustive depth-first search for one candidate lattice shape.
 
     ``budget`` bounds the number of node expansions (assignments tried);
-    exceeding it returns BudgetExceeded with a resumable checkpoint.
+    exceeding it returns BudgetExceeded with a resumable checkpoint.  A
+    checkpoint replays its path and then its ``min_id``, each a candidate
+    at its depth; one that does not raises ValueError.
     """
     if budget is not None and budget <= 0:
         raise ValueError("budget must be positive")
@@ -109,16 +113,22 @@ def search(
 
     p = 0
     if checkpoint is not None:
-        for depth, cid in enumerate(checkpoint["path"]):
+        path, min_id = checkpoint["path"], checkpoint["min_id"]
+        stale = ValueError("checkpoint does not replay against this interval")
+        if len(path) >= nv:
+            raise stale
+        for depth, cid in enumerate(path):
             m = candidates(depth)
             if not (m >> cid) & 1:
-                raise ValueError("checkpoint does not replay against this interval")
+                raise stale
             masks[depth] = m & (-1 << (cid + 1))
             assigned[depth] = cid
             used |= 1 << cid
-        p = len(checkpoint["path"])
-        if p < nv:
-            masks[p] = candidates(p) & (-1 << checkpoint["min_id"])
+        p = len(path)
+        # min_id replays like one more path entry, still to be tried
+        masks[p] = candidates(p) & (-1 << min_id)
+        if not (masks[p] >> min_id) & 1:
+            raise stale
     else:
         masks[0] = candidates(0)
 
@@ -159,15 +169,15 @@ def search(
 def cubulate(
     y: Element,
     budget: int | None = None,
-    workers: int = 1,
     checkpoint: dict | None = None,
     iv: BruhatInterval | None = None,
 ) -> SearchOutcome:
-    """Try every candidate shape in lexicographic order.
+    """Search the candidate shape of y, of which there is at most one.
 
-    Returns the first Found outcome; Exhausted when every shape's tree was
-    fully explored; BudgetExceeded (with a checkpoint naming the pending
-    shape) otherwise.  ``budget`` is a shared node-expansion budget.
+    Returns the search's outcome: Found, Exhausted when the shape's tree
+    was fully explored, or BudgetExceeded with a checkpoint naming the
+    shape.  With no candidate shape, Exhausted with ``shapes_tried`` 0.
+    The search is serial.
     """
     t0 = time.monotonic()
     if iv is None:
@@ -179,96 +189,18 @@ def cubulate(
             f"of {y!r} (candidates: {[list(s) for s in shapes]}); "
             "the checkpoint belongs to another job"
         )
-    if workers > 1 and checkpoint is None and len(shapes) > 1:
-        return _cubulate_parallel(y, iv, shapes, budget, workers, t0)
-    total = 0
-    tried = 0
-    start_shape = tuple(checkpoint["shape"]) if checkpoint else None
-    exceeded = None
-    for shape in shapes:
-        if start_shape is not None:
-            if shape != start_shape:
-                continue
-            inner_cp = checkpoint
-            start_shape = None
-        else:
-            inner_cp = None
-        remaining = None if budget is None else budget - total
-        if remaining is not None and remaining <= 0:
-            exceeded = SearchOutcome(
-                BUDGET_EXCEEDED,
-                None,
-                {},
-                {"shape": list(shape), "path": [], "min_id": 0},
-            )
-            break
-        out = search(iv, shape, budget=remaining, checkpoint=inner_cp)
-        tried += 1
-        total += out.stats["nodes_expanded"]
-        if out.status == FOUND:
-            out.stats.update(self_stats(total, tried, t0, FOUND))
-            return out
-        if out.status == BUDGET_EXCEEDED:
-            exceeded = out
-            break
-    if exceeded is not None:
-        exceeded.stats = self_stats(total, tried, t0, BUDGET_EXCEEDED)
-        return exceeded
-    return SearchOutcome(EXHAUSTED, None, self_stats(total, tried, t0, EXHAUSTED))
-
-
-def self_stats(total, tried, t0, status):
-    return {
-        "nodes_expanded": total,
-        "shapes_tried": tried,
-        "wall_time": time.monotonic() - t0,
-        "budget_used": total,
-        "status": status,
-    }
-
-
-def _search_job(descriptor, y_word, shape, budget):
-    system = build_system(descriptor)
-    iv = interval(system.element(y_word))
-    out = search(iv, tuple(shape), budget=budget)
-    cert = None
-    if out.certificate is not None:
-        cert = (out.certificate.lattice.params, sorted(out.certificate.assignment.items()))
-    return out.status, cert, out.stats, out.checkpoint
-
-
-def _cubulate_parallel(y, iv, shapes, budget, workers, t0):
-    """Shape-level parallelism: first Found wins, Exhausted needs all done."""
-    system = y.system
-    results = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(_search_job, system.descriptor, y.word, shape, budget): shape
-            for shape in shapes
+    if not shapes:
+        stats = {
+            "nodes_expanded": 0,
+            "shapes_tried": 0,
+            "wall_time": time.monotonic() - t0,
+            "budget_used": 0,
+            "status": EXHAUSTED,
         }
-        pending = set(futures)
-        found = None
-        while pending and found is None:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                results.append(fut.result())
-                if results[-1][0] == FOUND:
-                    found = results[-1]
-            if found:
-                for fut in pending:
-                    fut.cancel()
-    total = sum(r[2]["nodes_expanded"] for r in results)
-    tried = len(results)
-    if found is not None:
-        params, items = found[1]
-        cert = Cubulation(CubicalLattice(params), dict(items))
-        return SearchOutcome(FOUND, cert, self_stats(total, tried, t0, FOUND))
-    if any(r[0] == BUDGET_EXCEEDED for r in results):
-        cp = next(r[3] for r in results if r[0] == BUDGET_EXCEEDED)
-        return SearchOutcome(
-            BUDGET_EXCEEDED, None, self_stats(total, tried, t0, BUDGET_EXCEEDED), cp
-        )
-    return SearchOutcome(EXHAUSTED, None, self_stats(total, tried, t0, EXHAUSTED))
+        return SearchOutcome(EXHAUSTED, None, stats)
+    out = search(iv, shapes[0], budget=budget, checkpoint=checkpoint)
+    out.stats["wall_time"] = time.monotonic() - t0
+    return out
 
 
 def verify_certificate(iv: BruhatInterval, cert: Cubulation) -> bool:

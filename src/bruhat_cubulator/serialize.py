@@ -164,11 +164,20 @@ def checkpoint_from_doc(doc: dict) -> dict:
     missing = [k for k in ("shape", "path", "min_id") if k not in doc]
     if missing:
         raise ValueError(f"checkpoint document lacks {', '.join(missing)}")
+    for key in ("shape", "path"):
+        if not isinstance(doc[key], list) or not all(map(_is_count, doc[key])):
+            raise ValueError(f"checkpoint {key} must be a list of non-negative integers")
+    if not _is_count(doc["min_id"]):
+        raise ValueError("checkpoint min_id must be a non-negative integer")
     return {
         "shape": list(doc["shape"]),
         "path": list(doc["path"]),
         "min_id": doc["min_id"],
     }
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def construction_doc(result) -> dict:

@@ -196,6 +196,8 @@ def _suite_negative():
         assert all_trivial(w0)
         out = search.cubulate(w0)
         assert out.status == search.EXHAUSTED, out.status
+        assert out.stats["shapes_tried"] == 1, out.stats
+        assert out.stats["nodes_expanded"] == 3_538_289, out.stats
 
     return [("f4_w0_exhausted", f4_exhausted)]
 

@@ -1,20 +1,22 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here deliberately avoids the optimized code paths: Bruhat
-membership via subwords, search without bitsets or symmetry breaking, and
-Kazhdan-Lusztig polynomials via an exact linear solve.
+membership via subwords, search without bitsets or symmetry breaking,
+Kazhdan-Lusztig polynomials via an exact linear solve, and quantum
+factorizations by trial division and by trying every multiset of factors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from bruhat_cubulator.bruhat import BruhatInterval, interval, poincare_polynomial
 from bruhat_cubulator.coxeter import CoxeterSystem, Element
 from bruhat_cubulator.cube import CubicalLattice
 from bruhat_cubulator.kl import r_polynomial
-from bruhat_cubulator.polynomials import IntPoly, quantum_factorizations
+from bruhat_cubulator.growth import poincare_truncation
+from bruhat_cubulator.polynomials import ONE, IntPoly, quantum_poly
 
 
 def subword_interval(y: Element) -> set[Element]:
@@ -44,7 +46,7 @@ def naive_cubulate_status(y: Element) -> str:
     elements = list(iv.vertices)
     p = poincare_polynomial(iv)
     n = len(sys.support(y))
-    shapes = sorted(s for s in quantum_factorizations(p) if len(s) == n)
+    shapes = sorted(s for s in trial_division_factorizations(p) if len(s) == n)
     for shape in shapes:
         lattice = CubicalLattice(tuple(a - 1 for a in shape) or (0,))
         verts = lattice.vertices()
@@ -76,6 +78,57 @@ def naive_cubulate_status(y: Element) -> str:
         if extend(0):
             return "Found"
     return "Exhausted"
+
+
+def trial_division_factorizations(p: IntPoly) -> set[tuple[int, ...]]:
+    """All multisets (a_1 <= ... <= a_N), a_i >= 2, with p = prod quantum_poly(a_i).
+
+    Returns the empty set when no factorization exists, and {()} exactly
+    when p == 1.  Recursive trial division with a lower bound keeps the
+    shapes weakly increasing and deduplicated.  Exponential on some inputs
+    that do not factor; keep them small.
+    """
+    if p.is_zero() or p(0) != 1:
+        raise ValueError("input must be nonzero with constant term 1")
+    out: set[tuple[int, ...]] = set()
+
+    def rec(rem: IntPoly, lo: int, acc: tuple[int, ...]):
+        if rem == ONE:
+            out.add(acc)
+            return
+        for a in range(lo, rem.degree + 2):
+            q, r = divmod(rem, quantum_poly(a))
+            if r.is_zero():
+                rec(q, a, acc + (a,))
+
+    rec(p, 2, ())
+    return out
+
+
+def brute_force_shapes_by_order(system: CoxeterSystem, order: int) -> dict[int, tuple]:
+    """``GrowthProbeReport.shapes_by_order`` by trying every multiset of factors.
+
+    For each order j, every multiset of at most |S| entries from 1..j whose
+    product of (1 - z^a) agrees with (1 - z)^|S| W(z) through order j.
+    """
+    n = system.rank
+    f = poincare_truncation(system, order)
+    for _ in range(n):
+        f = f.mul_poly(IntPoly((1, -1)))
+    shapes_by_order: dict[int, tuple] = {}
+    for j in range(1, order + 1):
+        target = f.coeffs[: j + 1]
+        found = []
+        for count in range(n + 1):
+            for combo in combinations_with_replacement(range(1, j + 1), count):
+                prod = ONE
+                for a in combo:
+                    prod = prod * IntPoly((1,) + (0,) * (a - 1) + (-1,))
+                pc = prod.coeffs + (0,) * (j + 1 - len(prod.coeffs))
+                if pc[: j + 1] == target:
+                    found.append(combo)
+        shapes_by_order[j] = tuple(sorted(found))
+    return shapes_by_order
 
 
 def kl_by_linear_solve(iv: BruhatInterval) -> list[IntPoly]:

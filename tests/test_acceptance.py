@@ -98,7 +98,8 @@ class TestNegativeF4:
         assert all_trivial(w0)
         out = cubulate(w0)
         assert out.status == "Exhausted"
-        assert out.stats["shapes_tried"] > 0
+        assert out.stats["shapes_tried"] == 1, out.stats
+        assert out.stats["nodes_expanded"] == 3_538_289, out.stats
 
 
 class TestAffineFamily:

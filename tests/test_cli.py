@@ -123,6 +123,22 @@ class TestCubulate:
         assert out2 == ""
         assert err2.startswith("error:") and "checkpoint" in err2
 
+    def test_checkpoint_min_id_out_of_range_is_refused(self, capsys, tmp_path):
+        # B3 w0 has a cubulation; a checkpoint whose min_id skips every
+        # candidate must not make it look Exhausted
+        cp = tmp_path / "c.json"
+        cp.write_text(json.dumps({
+            "schema": "bruhat-cubulator/1", "kind": "checkpoint",
+            "shape": [2, 4, 6], "path": [0], "min_id": 1000,
+        }))
+        code, out, err = run(
+            capsys,
+            "cubulate", "--system", "B3", "--element", "w0", "--checkpoint", str(cp),
+        )
+        assert code == 2
+        assert out == ""
+        assert "checkpoint does not replay" in err
+
     @pytest.mark.parametrize("workers", ["0", "-3", "two"])
     def test_bad_worker_count(self, capsys, workers):
         with pytest.raises(SystemExit) as exc:

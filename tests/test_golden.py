@@ -32,12 +32,25 @@ GOLDEN = [
         "375be0f935e0a832041d78116caab5c2e9f21a93e029e996048827b0abe6344a",
     ),
     (
+        ("cubulate", "--system", "B3", "--element", "w0", "--workers", "2"),
+        "375be0f935e0a832041d78116caab5c2e9f21a93e029e996048827b0abe6344a",
+    ),
+    (
         ("construct", "--system", "Atilde2", "--construction", "atilde2", "--m", "3"),
         "f45dcbe097273ceaa69142617402fc3dc1d399bf55d2278202f6453c97495fee",
     ),
     (
         ("growth", "--system", "Atilde2", "--order", "10"),
         "60db1c54e5144340c2f020d6dcf00beaeaee97f7ff8ccb27359a6a489f81e697",
+    ),
+    (
+        ("growth", "--system", "Atilde4", "--order", "13"),
+        "954e32ed0ec4654dc493acce2f2af2671c76d28eaae07b08bbac7f01fb68a14c",
+    ),
+    (
+        # the quantum-shape probe does not stabilize here
+        ("growth", "--system", "Gtilde2", "--order", "16"),
+        "230649ab1480301e4c5299171d4c7cfcfa9c556e6085dae493c1cf3746f9daf3",
     ),
 ]
 

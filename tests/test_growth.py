@@ -7,6 +7,7 @@ import pytest
 from bruhat_cubulator import growth
 from bruhat_cubulator.polynomials import IntPoly
 
+import oracles
 from conftest import system
 
 
@@ -159,6 +160,29 @@ class TestProbe:
         report = growth.growth_quantum_probe(system("Gtilde2"), 10)
         assert not report.stabilized
         assert report.shapes_by_order[10] == ()
+
+    @pytest.mark.parametrize("tag", ["Atilde1", "Atilde2", "Atilde3", "Ctilde2", "Gtilde2", "Btilde3"])
+    def test_shapes_match_brute_force(self, tag):
+        sys = system(tag)
+        report = growth.growth_quantum_probe(sys, 12)
+        assert report.shapes_by_order == oracles.brute_force_shapes_by_order(sys, 12)
+
+    def test_shape_longer_than_rank_is_refused(self):
+        # a stand-in of rank 1 whose F(z) = (1 - z) W(z) is (1 - z^2)(1 - z^3):
+        # the exponents are non-negative, but two factors exceed |S| = 1
+        class RankOne:
+            rank = 1
+
+            def is_finite(self):
+                return False
+
+            def ball_layer_counts(self, order):
+                return ([1, 1, 0, -1, -1] + [0] * order)[: order + 1]
+
+        report = growth.growth_quantum_probe(RankOne(), 6)
+        assert report.shapes_by_order[2] == ((2,),)
+        assert report.shapes_by_order[3] == ()
+        assert report.shapes_by_order == oracles.brute_force_shapes_by_order(RankOne(), 6)
 
     def test_finite_rejected(self, a3):
         with pytest.raises(ValueError):

@@ -31,6 +31,15 @@ class TestCandidateShapes:
         # a non-palindromic rank generating function admits no shape
         assert candidate_shapes(interval(a3.element((2, 1, 3, 2)))) == []
 
+    @pytest.mark.parametrize("tag,max_length", [("A4", None), ("B3", None), ("H3", None), ("Atilde2", 7)])
+    def test_at_most_one_shape(self, tag, max_length):
+        sys = system(tag)
+        if max_length is None:
+            max_length = sys.longest_element().length
+        for layer in sys.ball_layers(max_length):
+            for y in layer:
+                assert len(candidate_shapes(interval(y))) <= 1, y
+
 
 class TestSearch:
     def test_found_verifies(self, a3):
@@ -71,6 +80,19 @@ class TestSearch:
         with pytest.raises(ValueError):
             search(other, (2, 3), checkpoint={"shape": [2, 3], "path": [99], "min_id": 0})
 
+    def test_checkpoint_min_id_must_replay(self, b3):
+        # min_id replays like one more path entry: it must be a candidate,
+        # and there must be a depth left to hold it
+        iv = interval(b3.longest_element())
+        shape = candidate_shapes(iv)[0]
+        out = search(iv, shape, budget=5)
+        assert out.status == BUDGET_EXCEEDED
+        full = search(iv, shape)
+        complete = [full.certificate.assignment[v] for v in full.certificate.lattice.vertices()]
+        for path, min_id in ((out.checkpoint["path"], 1000), (complete, 0)):
+            with pytest.raises(ValueError, match="does not replay"):
+                search(iv, shape, checkpoint={"shape": list(shape), "path": path, "min_id": min_id})
+
 
 class TestCubulate:
     def test_identity(self, a2):
@@ -89,13 +111,6 @@ class TestCubulate:
         assert tuple(out.checkpoint["shape"]) in candidate_shapes(interval(b3.longest_element()))
         resumed = cubulate(b3.longest_element(), checkpoint=out.checkpoint)
         assert resumed.status == FOUND
-
-    def test_parallel_matches_serial(self, b3):
-        y = b3.longest_element()
-        serial = cubulate(y)
-        parallel = cubulate(y, workers=2)
-        assert serial.status == parallel.status == FOUND
-        assert verify_certificate(interval(y), parallel.certificate)
 
 
 class TestVerifier:

@@ -111,8 +111,20 @@ class TestCheckpoints:
             {"shape": None},
             {"path": None},
             {"min_id": None},
+            {"shape": "2 3 4"},
+            {"path": 0},
+            {"path": ["a"]},
+            {"path": [-1]},
+            {"shape": [2, 3.5, 4]},
+            {"min_id": -3},
+            {"min_id": "1"},
+            {"min_id": True},
         ],
-        ids=["schema", "kind", "no-shape", "no-path", "no-min_id"],
+        ids=[
+            "schema", "kind", "no-shape", "no-path", "no-min_id", "shape-not-list",
+            "path-not-list", "path-not-int", "path-negative", "shape-not-int",
+            "min_id-negative", "min_id-not-int", "min_id-bool",
+        ],
     )
     def test_rejects_malformed(self, change):
         doc = serialize.checkpoint_doc({"shape": [2, 3, 4], "path": [0], "min_id": 1})
@@ -121,7 +133,8 @@ class TestCheckpoints:
                 del doc[key]
             else:
                 doc[key] = value
-        with pytest.raises(ValueError):
+        field = next(iter(change))
+        with pytest.raises(ValueError, match=field):
             serialize.checkpoint_from_doc(doc)
 
 
