@@ -201,7 +201,8 @@ def _cmd_growth(args) -> int:
         doc["minimal_nonspherical_L"] = growth.minimal_nonspherical_L(system)
     except ValueError:
         pass
-    if not system.is_finite():
+    # the probe reads shapes from order 1 on; at order 0 there is none
+    if not system.is_finite() and order >= 1:
         report = growth.growth_quantum_probe(system, order)
         doc["probe"] = {
             "f_coeffs": list(report.f_coeffs),

@@ -13,7 +13,6 @@ from itertools import permutations, product
 from .bruhat import BruhatInterval, interval, poincare_polynomial
 from .coxeter import CoxeterSystem, Element
 from .cube import CubicalLattice
-from .kl import all_trivial
 from .polynomials import is_palindromic
 from .search import Cubulation, verify_certificate_detailed
 

@@ -2,17 +2,17 @@
 
 Crystallographic systems act on root coordinates with plain integers.
 Everything else works in the order Z[c] with c = 2*cos(pi/L), reduced
-modulo the minimal polynomial of c.  Sign queries are answered with
-interval arithmetic at increasing precision; this is exact because a
-nonzero element of the ring is a nonzero algebraic number, so a tight
-enough interval must exclude zero.
+modulo the minimal polynomial psi of c.  Signs are decided with integers
+and dyadic fractions only: Newton's method on psi brackets c ever more
+tightly, and a nonzero reduced element is a nonzero number, so some
+bracket decides its sign.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
-
-import mpmath
+from math import ceil, floor
 
 from .polynomials import IntPoly
 
@@ -62,23 +62,20 @@ class CosRing:
         self.L = L
         self.minpoly = minimal_poly_two_cos(L)
         self.degree = self.minpoly.degree
+        self._dminpoly = IntPoly(i * a for i, a in enumerate(self.minpoly.coeffs) if i)
+        # lo <= c <= hi <= 2, refined on demand by _refine
+        self._bracket = (Fraction(0), Fraction(2))
         self._sign_cache: dict[tuple[int, ...], int] = {}
 
     def __repr__(self):
         return f"CosRing(L={self.L})"
 
     def scalar(self, value) -> "RingScalar":
-        if isinstance(value, RingScalar):
-            if value.ring is not self:
-                raise ValueError("scalar belongs to a different ring")
-            return value
+        """The element that an int or an IntPoly in c stands for."""
         if isinstance(value, int):
-            return RingScalar(self, (value,) + (0,) * (self.degree - 1))
-        if isinstance(value, IntPoly):
-            reduced = divmod(value, self.minpoly)[1]
-            c = reduced.coeffs + (0,) * (self.degree - len(reduced.coeffs))
-            return RingScalar(self, c)
-        raise TypeError(f"cannot coerce {value!r}")
+            value = IntPoly([value])
+        reduced = divmod(value, self.minpoly)[1].coeffs
+        return RingScalar(self, reduced + (0,) * (self.degree - len(reduced)))
 
     @property
     def zero(self) -> "RingScalar":
@@ -95,26 +92,41 @@ class CosRing:
         return self.scalar(cos_multiple(self.L // m))
 
     def sign(self, coeffs: tuple[int, ...]) -> int:
+        """Sign of sum(coeffs[i] * c**i), for a reduced coefficient tuple."""
+        if len(coeffs) > self.degree:
+            raise ValueError(f"{coeffs} has more than {self.degree} coefficients")
         if not any(coeffs):
             return 0
-        cached = self._sign_cache.get(coeffs)
-        if cached is not None:
-            return cached
-        prec = 64
-        while prec <= 1 << 14:
-            with mpmath.workprec(prec):
-                c = 2 * mpmath.iv.cos(mpmath.iv.pi / self.L)
-                acc = mpmath.iv.mpf(0)
-                for a in reversed(coeffs):
-                    acc = acc * c + a
-                if acc > 0:
-                    self._sign_cache[coeffs] = 1
-                    return 1
-                if acc < 0:
-                    self._sign_cache[coeffs] = -1
-                    return -1
-            prec *= 2
-        raise ArithmeticError(f"sign of {coeffs} undecided at max precision")
+        if coeffs not in self._sign_cache:
+            # |a'(t)| <= bound on [-2, 2], so |a(hi) - a(c)| <= (hi - lo) * bound;
+            # a(c) != 0 since a is nonzero of degree below psi's, so this ends
+            bound = sum(i * abs(a) << (i - 1) for i, a in enumerate(coeffs) if i)
+            a = IntPoly(coeffs)
+            lo, hi = self._bracket
+            while abs(a(hi)) <= (hi - lo) * bound:
+                lo, hi = self._refine()
+            self._sign_cache[coeffs] = 1 if a(hi) > 0 else -1
+        return self._sign_cache[coeffs]
+
+    def _refine(self) -> tuple[Fraction, Fraction]:
+        """The next bracket, by one Newton step on psi from the upper end x.
+
+        psi is monic with real roots r <= c, so for x >= c the step
+        t = psi(x)/psi'(x) = 1/sum(1/(x - r)) lies in [(x - c)/d, x - c]:
+        x - d*t <= c <= x - t.  The ends are rounded outward to dyadics at a
+        precision that tracks the squared width, keeping quadratic convergence.
+        """
+        x = self._bracket[1]
+        t = self.minpoly(x) / self._dminpoly(x)
+        lo, hi = x - self.degree * t, x - t
+        width = hi - lo
+        bits = 2 * max(0, width.denominator.bit_length() - width.numerator.bit_length()) + 8
+        scale = 1 << bits
+        self._bracket = (
+            Fraction(floor(lo * scale), scale),
+            min(x, Fraction(ceil(hi * scale), scale)),
+        )
+        return self._bracket
 
 
 class RingScalar:
@@ -129,52 +141,36 @@ class RingScalar:
     def __setattr__(self, name, value):
         raise AttributeError("RingScalar is immutable")
 
-    def _coerce(self, other):
-        if isinstance(other, RingScalar):
-            if other.ring is not self.ring:
-                raise ValueError("mixed rings")
-            return other
-        if isinstance(other, int):
-            return self.ring.scalar(other)
-        return None
+    def _coerce(self, other) -> "RingScalar":
+        if not isinstance(other, RingScalar):
+            raise TypeError(f"cannot combine a RingScalar with {other!r}")
+        if other.ring is not self.ring:
+            raise ValueError("mixed rings")
+        return other
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         return RingScalar(self.ring, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
-
-    __radd__ = __add__
 
     def __neg__(self):
         return RingScalar(self.ring, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         return RingScalar(self.ring, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         prod = IntPoly(self.coeffs) * IntPoly(o.coeffs)
         return self.ring.scalar(prod)
-
-    __rmul__ = __mul__
 
     def __bool__(self):
         return any(self.coeffs)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, RingScalar):
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.coeffs == self._coerce(other).coeffs
 
     def __hash__(self):
         return hash(self.coeffs)

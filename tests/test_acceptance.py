@@ -9,7 +9,6 @@ pruned search and a naive reference enumeration.
 from __future__ import annotations
 
 import random
-from itertools import combinations
 from math import comb
 
 import pytest

@@ -205,6 +205,15 @@ class TestGrowth:
         assert doc["minimal_nonspherical_L"] == 4
         assert doc["probe"] is not None
 
+    def test_affine_order_zero(self, capsys):
+        code, out, _ = run(capsys, "growth", "--system", "Atilde2", "--order", "0")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["ball_sizes"] == [1]
+        assert doc["poincare"] == [1]
+        assert doc["bott"] == [1]
+        assert doc["probe"] is None
+
     def test_finite_doc(self, capsys):
         code, out, _ = run(capsys, "growth", "--system", "A2", "--order", "5")
         assert code == 0

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from bruhat_cubulator import constructions as cx
-from bruhat_cubulator.bruhat import interval
+from bruhat_cubulator.kl import all_trivial
 from bruhat_cubulator.search import cubulate, verify_certificate
 
 from conftest import system
@@ -134,7 +134,7 @@ class TestAffineFamily:
 class TestTrivialEnumeration:
     def test_short_range_classes(self, atilde2):
         pairs = cx.atilde2_trivial_enumeration(atilde2, 3)
-        assert all(cx.all_trivial(y) for y, _ in pairs)
+        assert all(all_trivial(y) for y, _ in pairs)
         # every element of length <= 3 has a trivial table: lengths 0-2 are
         # boolean or dihedral, and length 3 splits into six distinct-letter
         # elements and three dihedral-type elements
@@ -148,7 +148,7 @@ class TestTrivialEnumeration:
         # inverses s_c s_a s_b s_a; inversion is not a relabeling, so they
         # form two classes of three elements each
         pairs = cx.atilde2_trivial_enumeration(atilde2, 4)
-        assert all(cx.all_trivial(y) for y, _ in pairs)
+        assert all(all_trivial(y) for y, _ in pairs)
         length_four = {y.word: rep.word for y, rep in pairs if y.length == 4}
         assert length_four == {
             (1, 2, 1, 0): (1, 2, 1, 0),

@@ -9,9 +9,13 @@ the digest here and names the change in CHANGES.md.
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
+import bruhat_cubulator
 from bruhat_cubulator.cli import main
 
 GOLDEN = [
@@ -61,3 +65,28 @@ def test_stdout_digest(capsys, argv, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_ring_tier_without_mpmath():
+    """The ring tier decides signs in integers, so it runs with mpmath unimportable."""
+    argv = ("kl", "--system", "H3", "--word", "1 2 1 2 1 3 2 1 2 1")
+    script = "\n".join(
+        [
+            "import hashlib, io, sys",
+            "from contextlib import redirect_stdout",
+            "sys.modules['mpmath'] = None",
+            "from bruhat_cubulator.cli import main",
+            "out = io.StringIO()",
+            "with redirect_stdout(out):",
+            f"    code = main({list(argv)!r})",
+            "print(code, hashlib.sha256(out.getvalue().encode('utf-8')).hexdigest())",
+        ]
+    )
+    src = os.path.dirname(os.path.dirname(bruhat_cubulator.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", dict(GOLDEN)[argv]]

@@ -5,10 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from bruhat_cubulator.bruhat import interval, poincare_polynomial
+from bruhat_cubulator.bruhat import interval
 from bruhat_cubulator.constructions import y_m
 from bruhat_cubulator.kl import (
-    KLConsistencyError,
     KLTable,
     all_trivial,
     b_equals_N,
@@ -18,7 +17,7 @@ from bruhat_cubulator.kl import (
     r_polynomial,
     soergel_h,
 )
-from bruhat_cubulator.polynomials import ONE, ZERO, IntPoly, is_palindromic
+from bruhat_cubulator.polynomials import ONE, ZERO, IntPoly
 
 import oracles
 from conftest import system

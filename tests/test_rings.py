@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bruhat_cubulator.coxeter import build_system
 from bruhat_cubulator.polynomials import IntPoly
 from bruhat_cubulator.rings import (
     CosRing,
-    RingScalar,
     cos_multiple,
     cyclotomic,
     minimal_poly_two_cos,
@@ -68,9 +68,9 @@ class TestCosRing:
         ring = CosRing(5)
         c = ring.two_cos_pi_over(5)
         # golden ratio: c^2 = c + 1
-        assert c * c == c + 1
+        assert c * c == c + ring.one
         assert (c - c) == ring.zero
-        assert ring.scalar(3) == 3
+        assert ring.scalar(3) == ring.one + ring.one + ring.one
         assert not ring.zero
         assert bool(c)
 
@@ -91,16 +91,57 @@ class TestCosRing:
         assert (-c).sign() == -1
         assert ring.zero.sign() == 0
         # a value numerically tiny but nonzero still gets a definite sign
-        tight = c * c * c - 3 * c * c + 1  # arbitrary nonzero combination
+        tight = c * c * c - ring.scalar(3) * c * c + ring.one  # arbitrary nonzero combination
         assert tight.sign() in (-1, 1)
 
     @given(st.integers(min_value=-20, max_value=20), st.integers(min_value=-20, max_value=20))
     def test_sign_matches_float(self, a, b):
         ring = CosRing(7)
-        x = ring.scalar(a) + b * ring.two_cos_pi_over(7)
+        x = ring.scalar(a) + ring.scalar(b) * ring.two_cos_pi_over(7)
         approx = a + b * 2 * mpmath.cos(mpmath.pi / 7)
         if abs(approx) > 1e-6:
             assert x.sign() == (1 if approx > 0 else -1)
+
+    def test_fibonacci_signs(self):
+        # F_(n+1) - F_n * phi = (1 - phi)^n, and 1 - phi < 0
+        ring = CosRing(5)
+        phi = ring.two_cos_pi_over(5)
+        power = ring.one
+        fib = [0, 1]
+        for n in range(201):
+            assert power.coeffs == (fib[n + 1], -fib[n])
+            assert power.sign() == (-1) ** n
+            power = power * (ring.one - phi)
+            fib.append(fib[-1] + fib[-2])
+
+    @pytest.mark.parametrize("L", [3, 4, 5, 7, 30])
+    def test_sign_rejects_unreduced(self, L):
+        ring = CosRing(L)
+        # psi(c) = 0, so a tuple as long as psi has no sign to find
+        with pytest.raises(ValueError):
+            ring.sign(ring.minpoly.coeffs)
+
+    @pytest.mark.parametrize("tag", ["H3", "H4", "I2(7)", "I2(8)", "I2(12)", "I2(30)"])
+    def test_root_signs_match_reference(self, tag):
+        system = build_system(tag)
+        w0 = system.longest_element()
+        system.reflections_up_to(w0.length)
+        ring = system.ring
+        assert len(ring._sign_cache) >= 4
+        with mpmath.workprec(400):
+            c = 2 * mpmath.cos(mpmath.pi / ring.L)
+            for coeffs, sign in ring._sign_cache.items():
+                value = sum(a * c**i for i, a in enumerate(coeffs))
+                assert abs(value) > mpmath.mpf(2) ** -300
+                assert sign == (1 if value > 0 else -1), coeffs
+
+    def test_no_int_mixing(self):
+        ring = CosRing(5)
+        with pytest.raises(TypeError):
+            ring.one + 1
+        with pytest.raises(TypeError):
+            2 * ring.one
+        assert ring.one != 1
 
     def test_mixed_ring_rejected(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from bruhat_cubulator.bruhat import interval
-from bruhat_cubulator.cube import CubicalLattice
 from bruhat_cubulator.search import (
     BUDGET_EXCEEDED,
     EXHAUSTED,

@@ -9,8 +9,6 @@ from bruhat_cubulator.bruhat import interval
 from bruhat_cubulator.kl import KLTable
 from bruhat_cubulator.search import cubulate, search, verify_certificate
 
-from conftest import system
-
 
 class TestStability:
     def test_dumps_is_byte_stable(self, a3):
