@@ -8,7 +8,7 @@ correct by theorem and a bad certificate means a transcription bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 
 from .bruhat import BruhatInterval, interval, poincare_polynomial
 from .coxeter import CoxeterSystem, Element
@@ -270,7 +270,7 @@ def atilde2_trivial_enumeration(system: CoxeterSystem, max_length: int) -> list[
     while 3 + 2 * mm <= max_length:
         reps.append(y_m(system, mm))
         mm += 1
-    perms = [dict(zip((0, 1, 2), p)) for p in permutations((0, 1, 2))]
+    perms = system.diagram_automorphisms()
     orbit = {}
     for rep in reps:
         for perm in perms:

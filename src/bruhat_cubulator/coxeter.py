@@ -527,6 +527,32 @@ class CoxeterSystem:
                     raise ValueError("permutation is not a diagram automorphism")
         return self._from_word(tuple(self._idx[perm[self.labels[s]]] for s in w.iword))
 
+    def diagram_automorphisms(self) -> list[dict]:
+        """Every Coxeter-matrix-preserving bijection of the labels, identity first.
+
+        Built by backtracking one label at a time: an image is kept only if
+        m agrees with every label already placed, so the work follows the
+        size of the group (E8 has one automorphism), not n!.
+        """
+        labels, m = self.labels, self.m
+        out, image = [], []
+
+        def extend(k):
+            if k == len(labels):
+                out.append(dict(zip(labels, image)))
+                return
+            a = labels[k]
+            for b in labels:
+                if b not in image and all(
+                    m(b, image[j]) == m(a, labels[j]) for j in range(k)
+                ):
+                    image.append(b)
+                    extend(k + 1)
+                    image.pop()
+
+        extend(0)
+        return out
+
     # -- Bruhat order -------------------------------------------------------
 
     def bruhat_leq(self, x: "Element", y: "Element") -> bool:

@@ -3,11 +3,16 @@
 Lattice vertices are processed in (rank, lexicographic) order, so every
 lattice predecessor of a vertex is assigned before it.  The candidate set
 for a vertex is a bitset intersection: interval vertices of the right
-length, unused, and Bruhat-successors of every assigned predecessor.
+length, unused, and Bruhat-successors of every predecessor.  That
+intersection is formed once, when the vertex's last predecessor is
+assigned, and an assignment that leaves such a vertex with no candidate
+is undone at once (forward checking; Ullmann, J. ACM 23, 1976).
 Candidates are consumed in increasing vertex id, which makes runs
-deterministic and lets a checkpoint consist of just the chosen-id path.
-An element has at most one candidate shape, so ``cubulate`` is a single
-serial search.
+deterministic, makes a Found certificate the lexicographically least
+one, and lets a checkpoint consist of just the chosen-id path.  The
+symmetry rules (equal lattice parameters, diagram-automorphism orbits)
+keep that certificate; ``search`` gives the argument.  An element has at
+most one candidate shape, so ``cubulate`` is a single serial search.
 """
 
 from __future__ import annotations
@@ -59,6 +64,19 @@ def _shape_lattice(shape) -> CubicalLattice:
     return CubicalLattice(tuple(a - 1 for a in shape))
 
 
+def _orbit_minima(iv: BruhatInterval) -> int:
+    """Bitset of the generator ids in [1, y] least in their orbit under the
+    diagram automorphisms that fix y."""
+    sys, y = iv.system, iv.top
+    group = [s for s in sys.diagram_automorphisms() if sys.diagram_automorphism(s, y) is y]
+    mask = 0
+    for a in sys.support(y):
+        ids = [iv.index[sys.generator(s[a])] for s in group]
+        if ids[0] == min(ids):  # group[0] is the identity
+            mask |= 1 << ids[0]
+    return mask
+
+
 def search(
     iv: BruhatInterval,
     shape,
@@ -67,10 +85,29 @@ def search(
 ) -> SearchOutcome:
     """Exhaustive depth-first search for one candidate lattice shape.
 
-    ``budget`` bounds the number of node expansions (assignments tried);
-    exceeding it returns BudgetExceeded with a resumable checkpoint.  A
-    checkpoint replays its path and then its ``min_id``, each a candidate
-    at its depth; one that does not raises ValueError.
+    The search returns the lexicographically least valid assignment L (in
+    search order, by id), or proves that none exists.  Three rules cut the
+    tree, and each holds for L, so none moves a Found certificate and an
+    Exhausted verdict stays sound:
+
+    - forward checking: once the last predecessor of a lattice vertex is
+      assigned, the vertex must keep a candidate, or the assignment is
+      undone at once; this removes only subtrees with no completion;
+    - equal adjacent parameters k_i = k_{i+1}: the image of e_i exceeds that
+      of e_{i+1}, which is searched first.  Swapping the two axes of L gives
+      a valid assignment that agrees with L before e_{i+1} and sends it to
+      L(e_i), so L(e_{i+1}) < L(e_i);
+    - orbit minima: a diagram automorphism sigma with sigma(y) = y is an
+      automorphism of the Bruhat graph of [1, y], so sigma o L is valid and
+      agrees with L at the origin.  Hence L sends position 1, the first
+      rank-1 lattice vertex, to a generator id least in its orbit.
+
+    ``budget`` bounds the number of node expansions (assignments tried,
+    those undone by the forward check included); exceeding it returns
+    BudgetExceeded with a resumable checkpoint.  A checkpoint replays its
+    path, each entry a candidate at its depth that passes the forward
+    check, and then its ``min_id``, a candidate at the next depth; one that
+    does not raises ValueError.
     """
     if budget is not None and budget <= 0:
         raise ValueError("budget must be positive")
@@ -83,33 +120,53 @@ def search(
     nv = len(verts)
     vert_pos = {v: i for i, v in enumerate(verts)}
     preds = [[vert_pos[u] for u in lattice.predecessors(v)] for v in verts]
-    ranks = [sum(v) for v in verts]
     length_mask = iv.length_masks()
     succ = iv.succ_masks
+    allowed = [length_mask.get(sum(v), 0) for v in verts]
+    if nv > 1:
+        allowed[1] &= _orbit_minima(iv)
+    # ready[p]: the vertices whose last predecessor in search order is p
+    ready: list[list[int]] = [[] for _ in range(nv)]
+    for r in range(1, nv):
+        ready[max(preds[r])].append(r)
 
-    # symmetry breaking: for equal adjacent parameters, the images of the
-    # two unit vectors must come in increasing id order
+    # sym_gt[e_i] = e_{i+1} for equal adjacent parameters: L(e_i) > L(e_{i+1})
     sym_gt: dict[int, int] = {}
     params = lattice.params
     for i in range(len(params) - 1):
         if params[i] == params[i + 1] and params[i] > 0:
-            e_lo = tuple(1 if j == i else 0 for j in range(len(params)))
-            e_hi = tuple(1 if j == i + 1 else 0 for j in range(len(params)))
-            sym_gt[vert_pos[e_hi]] = vert_pos[e_lo]
+            e_i = tuple(1 if j == i else 0 for j in range(len(params)))
+            e_next = tuple(1 if j == i + 1 else 0 for j in range(len(params)))
+            sym_gt[vert_pos[e_i]] = vert_pos[e_next]
 
     assigned = [-1] * nv
     masks = [0] * nv
+    # base[p]: allowed[p] and the succ masks of p's predecessors, filled
+    # when the last of them is assigned
+    base = [0] * nv
+    base[0] = allowed[0]
     used = 0
     expansions = 0
+    prunes_forward = 0
 
     def candidates(p: int) -> int:
-        m = length_mask.get(ranks[p], 0) & ~used
-        for q in preds[p]:
-            m &= succ[assigned[q]]
+        m = base[p] & ~used
         g = sym_gt.get(p)
         if g is not None:
             m &= -1 << (assigned[g] + 1)
         return m
+
+    def forward(p: int) -> bool:
+        """Fill base for ready[p]; False if one of them has no candidate left."""
+        free = ~used
+        for r in ready[p]:
+            m = allowed[r]
+            for q in preds[r]:
+                m &= succ[assigned[q]]
+            base[r] = m
+            if not m & free:
+                return False
+        return True
 
     p = 0
     if checkpoint is not None:
@@ -124,6 +181,8 @@ def search(
             masks[depth] = m & (-1 << (cid + 1))
             assigned[depth] = cid
             used |= 1 << cid
+            if not forward(depth):
+                raise stale
         p = len(path)
         # min_id replays like one more path entry, still to be tried
         masks[p] = candidates(p) & (-1 << min_id)
@@ -138,6 +197,7 @@ def search(
             "shapes_tried": 1,
             "wall_time": time.monotonic() - t0,
             "budget_used": expansions,
+            "prunes_forward": prunes_forward,
             "status": status,
         }
 
@@ -153,6 +213,10 @@ def search(
             expansions += 1
             assigned[p] = cid
             used |= b
+            if not forward(p):
+                prunes_forward += 1
+                used ^= b
+                continue
             if p + 1 == nv:
                 cert = Cubulation(lattice, {v: assigned[i] for i, v in enumerate(verts)})
                 return SearchOutcome(FOUND, cert, stats(FOUND))
@@ -160,9 +224,8 @@ def search(
             masks[p] = candidates(p)
         else:
             p -= 1
-            if p >= 0 and assigned[p] >= 0:
+            if p >= 0:
                 used &= ~(1 << assigned[p])
-                assigned[p] = -1
     return SearchOutcome(EXHAUSTED, None, stats(EXHAUSTED))
 
 

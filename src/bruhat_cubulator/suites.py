@@ -197,7 +197,7 @@ def _suite_negative():
         out = search.cubulate(w0)
         assert out.status == search.EXHAUSTED, out.status
         assert out.stats["shapes_tried"] == 1, out.stats
-        assert out.stats["nodes_expanded"] == 3_538_289, out.stats
+        assert out.stats["nodes_expanded"] == 390_677, out.stats
 
     return [("f4_w0_exhausted", f4_exhausted)]
 

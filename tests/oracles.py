@@ -35,11 +35,17 @@ def bruhat_leq_subword(x: Element, y: Element) -> bool:
 
 
 def naive_cubulate_status(y: Element) -> str:
+    return naive_cubulate(y)[0]
+
+
+def naive_cubulate(y: Element) -> tuple[str, dict | None]:
     """Found/Exhausted by plain recursive backtracking, no pruning tricks.
 
     Checks edges with group-level primitives (length increase plus a
     reflection test on u^-1 v) and tries candidates in enumeration order
-    with no symmetry breaking and no bitsets.
+    with no symmetry breaking and no bitsets.  So the first assignment
+    found is the lexicographically least one in lattice-vertex order; it
+    is returned as a map from lattice vertex to interval vertex id.
     """
     sys = y.system
     iv = interval(y)
@@ -52,11 +58,14 @@ def naive_cubulate_status(y: Element) -> str:
         verts = lattice.vertices()
         assignment: dict = {}
         used: set[Element] = set()
+        edge_memo: dict = {}
 
         def is_edge(u: Element, v: Element) -> bool:
             if v.length <= u.length:
                 return False
-            return sys.is_reflection(u.inverse() * v)
+            if (u, v) not in edge_memo:
+                edge_memo[u, v] = sys.is_reflection(u.inverse() * v)
+            return edge_memo[u, v]
 
         def extend(pos: int) -> bool:
             if pos == len(verts):
@@ -76,8 +85,8 @@ def naive_cubulate_status(y: Element) -> str:
             return False
 
         if extend(0):
-            return "Found"
-    return "Exhausted"
+            return "Found", {v: iv.index[el] for v, el in assignment.items()}
+    return "Exhausted", None
 
 
 def trial_division_factorizations(p: IntPoly) -> set[tuple[int, ...]]:

@@ -98,7 +98,7 @@ class TestNegativeF4:
         out = cubulate(w0)
         assert out.status == "Exhausted"
         assert out.stats["shapes_tried"] == 1, out.stats
-        assert out.stats["nodes_expanded"] == 3_538_289, out.stats
+        assert out.stats["nodes_expanded"] == 390_677, out.stats
 
 
 class TestAffineFamily:

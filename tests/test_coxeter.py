@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -232,6 +232,31 @@ class TestAutomorphisms:
     def test_rejects_non_bijection(self, a3):
         with pytest.raises(ValueError):
             a3.diagram_automorphism({1: 1, 2: 1, 3: 3}, a3.generator(1))
+
+    @pytest.mark.parametrize("tag,order", [("F4", 2), ("D4", 6), ("E6", 2), ("B4", 1), ("Atilde2", 6), ("E8", 1)])
+    def test_group_orders(self, tag, order):
+        sys = system(tag)
+        autos = sys.diagram_automorphisms()
+        assert len(autos) == order
+        assert autos[0] == {a: a for a in sys.labels}
+
+    @pytest.mark.parametrize("tag", ["A4", "B3", "D4", "F4", "Atilde3", "Dtilde4", "I2(5)"])
+    def test_matches_every_permutation_filtered(self, tag):
+        sys = system(tag)
+        labels = sys.labels
+        brute = [
+            dict(zip(labels, p))
+            for p in permutations(labels)
+            if all(sys.m(p[i], p[j]) == sys.m(a, b) for i, a in enumerate(labels) for j, b in enumerate(labels))
+        ]
+        assert sys.diagram_automorphisms() == brute
+
+    def test_f4_w0_orbits(self):
+        sys = system("F4")
+        w0 = sys.longest_element()
+        fixing = [s for s in sys.diagram_automorphisms() if sys.diagram_automorphism(s, w0) is w0]
+        orbits = {frozenset(s[a] for s in fixing) for a in sys.labels}
+        assert orbits == {frozenset({1, 4}), frozenset({2, 3})}
 
 
 class TestBruhatOrder:

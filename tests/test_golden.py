@@ -33,11 +33,11 @@ GOLDEN = [
     ),
     (
         ("cubulate", "--system", "B3", "--element", "w0"),
-        "375be0f935e0a832041d78116caab5c2e9f21a93e029e996048827b0abe6344a",
+        "4c8e6dbf2495902ebed756a4a0e221abbc7248ab97d09460ed4e09167af99331",
     ),
     (
         ("cubulate", "--system", "B3", "--element", "w0", "--workers", "2"),
-        "375be0f935e0a832041d78116caab5c2e9f21a93e029e996048827b0abe6344a",
+        "4c8e6dbf2495902ebed756a4a0e221abbc7248ab97d09460ed4e09167af99331",
     ),
     (
         ("construct", "--system", "Atilde2", "--construction", "atilde2", "--m", "3"),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from bruhat_cubulator import serialize
 from bruhat_cubulator.bruhat import interval
 from bruhat_cubulator.search import (
     BUDGET_EXCEEDED,
@@ -92,6 +93,53 @@ class TestSearch:
             with pytest.raises(ValueError, match="does not replay"):
                 search(iv, shape, checkpoint={"shape": list(shape), "path": path, "min_id": min_id})
 
+    def test_equal_parameters_order_the_unit_vectors(self):
+        # D4 w0 has shape (2, 4, 4, 6), lattice C(1, 3, 3, 5): e_1 and e_2
+        # have equal parameters and e_2 is searched first, so the image of
+        # e_1 must exceed that of e_2
+        d4 = system("D4")
+        iv = interval(d4.longest_element())
+        shape = candidate_shapes(iv)[0]
+        assert shape == (2, 4, 4, 6)
+        s1, s2, s3, s4 = (iv.index[d4.generator(a)] for a in (1, 2, 3, 4))
+        # search positions 0-3: the origin, e_3, e_2, e_1
+        ok = {"shape": list(shape), "path": [0, s1, s3, s4], "min_id": s2}
+        assert search(iv, shape, budget=1, checkpoint=ok).status == BUDGET_EXCEEDED
+        swapped = dict(ok, path=[0, s1, s4, s3])
+        with pytest.raises(ValueError, match="does not replay"):
+            search(iv, shape, budget=1, checkpoint=swapped)
+
+    def test_position_one_takes_orbit_minima(self):
+        # the diagram automorphism of F4 fixes w0 and swaps s1 <-> s4 and
+        # s2 <-> s3, so the first rank-1 lattice vertex takes s1 or s2 only
+        f4 = system("F4")
+        iv = interval(f4.longest_element())
+        shape = candidate_shapes(iv)[0]
+        ids = {a: iv.index[f4.generator(a)] for a in f4.labels}
+        for a in f4.labels:
+            cp = {"shape": list(shape), "path": [0], "min_id": ids[a]}
+            if a in (1, 2):
+                assert search(iv, shape, budget=1, checkpoint=cp).status == BUDGET_EXCEEDED
+            else:
+                with pytest.raises(ValueError, match="does not replay"):
+                    search(iv, shape, budget=1, checkpoint=cp)
+
+    def test_forward_prunes_are_counted_apart(self, b3):
+        iv = interval(b3.longest_element())
+        out = search(iv, candidate_shapes(iv)[0])
+        assert 0 < out.stats["prunes_forward"] < out.stats["nodes_expanded"]
+        assert "prunes_forward" not in serialize.outcome_doc(iv, out)["stats"]
+
+    def test_f4_budget_and_resume_sum_to_the_full_count(self):
+        f4 = system("F4")
+        iv = interval(f4.longest_element())
+        shape = candidate_shapes(iv)[0]
+        first = search(iv, shape, budget=200_000)
+        assert first.status == BUDGET_EXCEEDED
+        rest = search(iv, shape, checkpoint=first.checkpoint)
+        assert rest.status == EXHAUSTED
+        assert first.stats["nodes_expanded"] + rest.stats["nodes_expanded"] == 390_677
+
 
 class TestCubulate:
     def test_identity(self, a2):
@@ -166,9 +214,15 @@ class TestVerifier:
 
 
 class TestOracleAgreement:
-    @pytest.mark.parametrize("tag", ["A3", "Atilde2"])
+    """The search returns the naive recursion's first, lexicographically
+    least, assignment: its pruning rules cut only what that one survives."""
+
+    @pytest.mark.parametrize("tag", ["A3", "B3", "H3", "Atilde2"])
     def test_small_elements(self, tag):
         sys = system(tag)
-        for layer in sys.ball_layers(4):
+        radius = 4 if tag == "Atilde2" else sys.longest_element().length
+        for layer in sys.ball_layers(radius):
             for y in layer:
-                assert cubulate(y).status == oracles.naive_cubulate_status(y), y
+                out = cubulate(y)
+                cert = out.certificate.assignment if out.certificate else None
+                assert (out.status, cert) == oracles.naive_cubulate(y), y
