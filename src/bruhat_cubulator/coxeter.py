@@ -801,14 +801,6 @@ class Element:
             return self.system.multiply(self, other)
         return NotImplemented
 
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.system is other.system and self.iword == other.iword
-
-    def __hash__(self):
-        return hash((id(self.system), self.iword))
-
     def sort_key(self):
         """Canonical total order: by length, then shortlex on the word."""
         return (len(self.iword), self.iword)

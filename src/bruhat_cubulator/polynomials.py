@@ -179,15 +179,6 @@ def quantum_poly(a: int) -> IntPoly:
     return IntPoly((1,) * a)
 
 
-def validate_quantum_shape(shape: Sequence[int]) -> tuple[int, ...]:
-    shape = tuple(shape)
-    if any(a < 2 for a in shape):
-        raise ValueError(f"shape entries must be >= 2: {shape}")
-    if any(a > b for a, b in zip(shape, shape[1:])):
-        raise ValueError(f"shape must be weakly increasing: {shape}")
-    return shape
-
-
 def euler_exponents(coeffs: Sequence[int], order: int) -> list[int]:
     """The c_1, ..., c_order with F = prod (1 - z^a)^(c_a) modulo z^(order + 1).
 

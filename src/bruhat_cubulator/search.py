@@ -171,7 +171,10 @@ def search(
     p = 0
     if checkpoint is not None:
         path, min_id = checkpoint["path"], checkpoint["min_id"]
-        stale = ValueError("checkpoint does not replay against this interval")
+        stale = ValueError(
+            "checkpoint does not replay against this interval: it was written by another "
+            "job, or by an older version of the search whose pruning rules differ"
+        )
         if len(path) >= nv:
             raise stale
         for depth, cid in enumerate(path):

@@ -3,28 +3,24 @@
 Each test class exercises one headline guarantee: closed-form cubulations,
 search positives and negatives, the Kazhdan-Lusztig triviality
 characterizations, growth series identities, and agreement between the
-pruned search and a naive reference enumeration.
+pruned search and a naive reference enumeration.  Where a CLI suite makes
+the same check, the test calls the suite's check function, so each fact
+is checked in one place; oracle-based checks stay here.
 """
 
 from __future__ import annotations
 
-import random
+from functools import lru_cache
 from math import comb
 
 import pytest
 
 from bruhat_cubulator import constructions as cx
-from bruhat_cubulator import growth
+from bruhat_cubulator import suites
 from bruhat_cubulator.bruhat import interval
-from bruhat_cubulator.kl import (
-    KLTable,
-    all_trivial,
-    carrell_peterson_report,
-    kl_polynomial,
-    r_polynomial,
-)
+from bruhat_cubulator.kl import KLTable, all_trivial, r_polynomial, table_report
 from bruhat_cubulator.polynomials import ONE, IntPoly
-from bruhat_cubulator.search import cubulate, verify_certificate
+from bruhat_cubulator.search import cubulate
 
 import oracles
 from conftest import system
@@ -32,6 +28,12 @@ from conftest import system
 
 def elements_up_to(sys, max_length):
     return [el for layer in sys.ball_layers(max_length) for el in layer]
+
+
+@lru_cache(maxsize=None)
+def kl_tables(tag, max_length):
+    """(y, KLTable of [1, y]) for every y up to max_length, built once per run."""
+    return [(y, KLTable(interval(y))) for y in elements_up_to(system(tag), max_length)]
 
 
 def dihedral_r(d):
@@ -51,33 +53,17 @@ def dihedral_r(d):
 class TestLongestElementCubulations:
     """Criterion 1: search positives with exact canonical lattice shapes."""
 
-    @pytest.mark.parametrize(
-        "tag,params",
-        [
-            ("A1", (1,)),
-            ("A2", (1, 2)),
-            ("A3", (1, 2, 3)),
-            ("A4", (1, 2, 3, 4)),
-            ("B2", (1, 3)),
-            ("B3", (1, 3, 5)),
-        ],
-    )
+    @pytest.mark.parametrize("tag,params", suites.LONGEST_ELEMENT_PARAMS)
     def test_found_with_canonical_params(self, tag, params):
-        sys = system(tag)
-        iv = interval(sys.longest_element())
-        out = cubulate(sys.longest_element(), iv=iv)
-        assert out.status == "Found"
-        assert out.certificate.lattice.canonical_form().params == params
-        assert verify_certificate(iv, out.certificate)
+        suites.longest_element_found(tag, params)
 
 
 class TestConstructionSearchCrossValidation:
     """Criterion 2: closed-form certificates verify; search agrees where run."""
 
-    @pytest.mark.parametrize("tag", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4"])
+    @pytest.mark.parametrize("tag", suites.PATH_FOREST_TAGS)
     def test_path_forest_certificates_verify(self, tag):
-        res = cx.path_forest_cubulation(system(tag))
-        assert verify_certificate(res.interval, res.certificate)
+        suites.path_forest_verifies(tag)
 
     @pytest.mark.parametrize("tag", ["A1", "A2", "A3", "A4", "B2", "B3"])
     def test_search_agrees_on_overlap(self, tag):
@@ -92,33 +78,20 @@ class TestNegativeF4:
     """Criterion 3: a trivial table does not guarantee a cubulation."""
 
     def test_f4_exhausted_but_trivial(self):
-        sys = system("F4")
-        w0 = sys.longest_element()
-        assert all_trivial(w0)
-        out = cubulate(w0)
-        assert out.status == "Exhausted"
-        assert out.stats["shapes_tried"] == 1, out.stats
-        assert out.stats["nodes_expanded"] == 390_677, out.stats
+        suites.f4_w0_exhausted()
 
 
 class TestAffineFamily:
     """Criterion 4: the infinite cubulated family in the rank-3 affine system."""
 
-    def test_interval_sizes(self, atilde2):
-        for m in range(9):
-            y = cx.y_m(atilde2, m) if m > 0 else atilde2.element((1, 2, 1))
-            assert len(interval(y)) == 3 * (m + 1) * (m + 2)
+    def test_interval_sizes(self):
+        suites.atilde2_interval_sizes()
 
-    def test_construction_certificates(self, atilde2):
-        for m in range(1, 9):
-            res = cx.atilde2_cubulation(atilde2, m)
-            assert res.lattice.params == (2, m, m + 1)
-            assert verify_certificate(res.interval, res.certificate)
+    def test_construction_certificates(self):
+        suites.atilde2_constructions()
 
-    def test_search_confirms_small_members(self, atilde2):
-        for m in range(1, 5):
-            out = cubulate(cx.y_m(atilde2, m))
-            assert out.status == "Found"
+    def test_search_confirms_small_members(self):
+        suites.atilde2_searches()
 
 
 CP_RANGES = [("A3", 7), ("B3", 7), ("Atilde2", 9)]
@@ -129,9 +102,8 @@ class TestCarrellPetersonAgreement:
 
     @pytest.mark.parametrize("tag,max_length", CP_RANGES)
     def test_four_way_agreement(self, tag, max_length):
-        sys = system(tag)
-        for y in elements_up_to(sys, max_length):
-            report = carrell_peterson_report(y)
+        for y, table in kl_tables(tag, max_length):
+            report = table_report(table)
             flags = {
                 report.all_trivial,
                 report.edge_count_ok,
@@ -143,9 +115,7 @@ class TestCarrellPetersonAgreement:
 
     @pytest.mark.parametrize("tag,max_length", CP_RANGES)
     def test_positivity_and_degree_bound(self, tag, max_length):
-        sys = system(tag)
-        for y in elements_up_to(sys, max_length):
-            table = KLTable(interval(y))
+        for y, table in kl_tables(tag, max_length):
             iv = table.interval
             top = len(iv.vertices) - 1
             for x_id in range(top + 1):
@@ -191,9 +161,8 @@ class TestKLSpotValues:
     """Criterion 7: pinned polynomial values with zero tolerance."""
 
     def test_spot_value_two_independent_ways(self, a3):
-        y = a3.element((2, 1, 3, 2))
-        assert kl_polynomial(a3.identity, y) == IntPoly((1, 1))
-        iv = interval(y)
+        suites.kl_spot()
+        iv = interval(a3.element((2, 1, 3, 2)))
         solved = oracles.kl_by_linear_solve(iv)
         assert solved[0] == IntPoly((1, 1))
         assert solved == KLTable(iv).top_column()
@@ -217,33 +186,16 @@ class TestGrowth:
     """Criterion 8: exact growth-series identities on truncations."""
 
     def test_bott_matches_enumeration(self):
-        for tag in ("Atilde1", "Atilde2", "Atilde3", "Ctilde2", "Gtilde2"):
-            sys = system(tag)
-            assert growth.bott_truncation(sys, 10) == growth.poincare_truncation(sys, 10), tag
+        suites.bott_agreement()
 
     def test_volume_growth_identity(self):
-        one_minus_z = IntPoly((1, -1))
-        for tag in ("Atilde1", "Atilde2", "Atilde3", "Ctilde2", "Gtilde2"):
-            sys = system(tag)
-            gamma = growth.volume_growth_truncation(sys, 10)
-            assert gamma.mul_poly(one_minus_z) == growth.poincare_truncation(sys, 10), tag
+        suites.growth_identity()
 
-    def test_atilde2_coefficients(self, atilde2):
-        coeffs = growth.poincare_truncation(atilde2, 6).coeffs
-        assert coeffs == (1, 3, 6, 9, 12, 15, 18)
+    def test_atilde2_coefficients(self):
+        suites.atilde2_coefficients(6)
 
-    def test_ball_in_interval_samples(self, atilde2):
-        assert growth.minimal_nonspherical_L(atilde2) == 4
-        rng = random.Random(20260823)
-        for _ in range(20):
-            k = rng.choice((1, 2))
-            target = 4 * k + rng.randrange(3)
-            w = atilde2.identity
-            while w.length < target:
-                g = atilde2.generator(rng.choice(atilde2.labels))
-                if (w * g).length > w.length:
-                    w = w * g
-            assert growth.ball_in_interval_check(atilde2, k, w)
+    def test_ball_in_interval_samples(self):
+        suites.ball_in_interval_samples()
 
 
 class TestSearchOracleCompleteness:

@@ -138,6 +138,7 @@ class TestCubulate:
         assert code == 2
         assert out == ""
         assert "checkpoint does not replay" in err
+        assert "older version of the search" in err
 
     @pytest.mark.parametrize("workers", ["0", "-3", "two"])
     def test_bad_worker_count(self, capsys, workers):
@@ -248,10 +249,43 @@ class TestErrorsAndSuites:
         assert doc["passed"] is True
         assert all(c["status"] == "pass" for c in doc["checks"])
 
-    @pytest.mark.parametrize("name", suites.SUITE_NAMES)
-    def test_every_suite_passes(self, name):
-        report = suites.run_suite(name)
-        assert report["passed"], [c for c in report["checks"] if c["status"] != "pass"]
+    def test_suite_check_names(self):
+        # the checks themselves run in test_acceptance.py; this pins what
+        # each suite lists, in order, without running anything
+        names = {name: [n for n, _ in checks] for name, checks in suites.SUITES.items()}
+        assert names == {
+            "smoke": [
+                "interval_counts", "kl_spot", "dihedral_r", "small_search",
+                "boolean_construction", "growth_coefficients",
+            ],
+            "classical": [
+                *(f"search_{t}_w0" for t in ("A1", "A2", "A3", "A4", "B2", "B3")),
+                *(f"path_forest_{t}" for t in ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4")),
+            ],
+            "atilde2": ["interval_sizes", "recursive_constructions", "independent_searches"],
+            "growth": [
+                "bott_agreement", "growth_identity", "affine_coefficients",
+                "ball_in_interval_samples",
+            ],
+            "negative": ["f4_w0_exhausted"],
+        }
+        assert suites.SUITE_NAMES == tuple(names)
+
+    def test_failing_check_is_reported(self, capsys, monkeypatch):
+        def broken():
+            raise AssertionError("boom")
+
+        checks = [("fine", lambda: None), ("broken", broken)]
+        monkeypatch.setitem(suites.SUITES, "smoke", checks)
+        report = suites.run_suite("smoke")
+        assert report["passed"] is False
+        assert report["checks"] == [
+            {"name": "fine", "status": "pass", "error": None},
+            {"name": "broken", "status": "fail", "error": "AssertionError: boom"},
+        ]
+        code, out, _ = run(capsys, "suite", "smoke")
+        assert code == 1
+        assert json.loads(out) == report
 
     def test_suite_output_is_byte_stable(self, capsys):
         _, first, _ = run(capsys, "suite", "smoke")

@@ -56,6 +56,10 @@ GOLDEN = [
         ("growth", "--system", "Gtilde2", "--order", "16"),
         "230649ab1480301e4c5299171d4c7cfcfa9c556e6085dae493c1cf3746f9daf3",
     ),
+    (
+        ("suite", "smoke"),
+        "6e8b00a3fa5d9d050718acb53f0c15dd773be03eb959f8ddae8ff14fb662536a",
+    ),
 ]
 
 
@@ -67,14 +71,13 @@ def test_stdout_digest(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-def test_ring_tier_without_mpmath():
-    """The ring tier decides signs in integers, so it runs with mpmath unimportable."""
-    argv = ("kl", "--system", "H3", "--word", "1 2 1 2 1 3 2 1 2 1")
+def run_without(argv, blocked):
+    """Run the CLI in a fresh interpreter that cannot import ``blocked``; match its GOLDEN digest."""
     script = "\n".join(
         [
             "import hashlib, io, sys",
             "from contextlib import redirect_stdout",
-            "sys.modules['mpmath'] = None",
+            *(f"sys.modules[{name!r}] = None" for name in blocked),
             "from bruhat_cubulator.cli import main",
             "out = io.StringIO()",
             "with redirect_stdout(out):",
@@ -90,3 +93,13 @@ def test_ring_tier_without_mpmath():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", dict(GOLDEN)[argv]]
+
+
+def test_ring_tier_without_mpmath():
+    """The ring tier decides signs in integers, so it runs with mpmath unimportable."""
+    run_without(("kl", "--system", "H3", "--word", "1 2 1 2 1 3 2 1 2 1"), ("mpmath",))
+
+
+def test_suite_without_test_dependencies():
+    """The suite checks live in the package: ``suite`` never imports a test dependency."""
+    run_without(("suite", "smoke"), ("pytest", "hypothesis", "mpmath"))

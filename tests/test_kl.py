@@ -104,12 +104,6 @@ class TestRPolynomials:
 
 
 class TestKLPolynomials:
-    def test_spot_value_two_ways(self, a3):
-        y = a3.element((2, 1, 3, 2))
-        assert kl_polynomial(a3.identity, y) == IntPoly((1, 1))
-        iv = interval(y)
-        assert oracles.kl_by_linear_solve(iv) == KLTable(iv).top_column()
-
     def test_not_below_is_zero(self, a3):
         assert kl_polynomial(a3.generator(3), a3.element((1, 2))) == ZERO
 

@@ -15,7 +15,6 @@ from bruhat_cubulator.polynomials import (
     quantum_factorizations,
     quantum_poly,
     truncated_rational,
-    validate_quantum_shape,
 )
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), max_size=8)
@@ -91,13 +90,6 @@ class TestQuantum:
         assert quantum_poly(4).coeffs == (1, 1, 1, 1)
         with pytest.raises(ValueError):
             quantum_poly(0)
-
-    def test_validate_shape(self):
-        assert validate_quantum_shape((2, 2, 3)) == (2, 2, 3)
-        with pytest.raises(ValueError):
-            validate_quantum_shape((3, 2))
-        with pytest.raises(ValueError):
-            validate_quantum_shape((1, 2))
 
     def test_factorizations_examples(self):
         assert quantum_factorizations(ONE) == {()}
