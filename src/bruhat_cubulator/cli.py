@@ -100,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_element(system: CoxeterSystem, args) -> Element:
-    if getattr(args, "word", None):
+    if getattr(args, "word", None) is not None:
         try:
             return system.element(int(a) for a in args.word.split())
         except ValueError as exc:

@@ -1,4 +1,4 @@
-"""Closed-form cubulations and normal-form forests.
+"""Closed-form cubulations: path forests, short and dihedral, affine rank 3.
 
 Each construction emits a Cubulation certificate and immediately re-checks
 it with the independent verifier; a failure raises, since these maps are
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .bruhat import BruhatInterval, interval, poincare_polynomial
 from .coxeter import CoxeterSystem, Element
@@ -38,94 +39,25 @@ def _certify(iv: BruhatInterval, lattice: CubicalLattice, assignment, tag) -> Co
 
 
 # ---------------------------------------------------------------------------
-# normal form forests
+# path forests
 
-@dataclass(frozen=True)
-class NormalFormForest:
-    """One edge-labeled trie per generator, spelling minimal coset reps.
-
-    ``trees[j]`` is a nested dict trie whose root paths are the canonical
-    words of the minimal representatives of cosets of the rank-j parabolic
-    inside the rank-(j+1) parabolic (generators taken in label order).
-    Choosing one root path per trie and concatenating enumerates the
-    canonical word of every group element exactly once.
-    """
-
-    system: CoxeterSystem
-    trees: tuple
-
-    def is_path_forest(self) -> bool:
-        def path(node):
-            while node:
-                if len(node) > 1:
-                    return False
-                node = next(iter(node.values()))
-            return True
-
-        return all(path(t) for t in self.trees)
-
-    def path_label_sequences(self) -> list[tuple]:
-        """The label word down each tree; only valid for path forests."""
-        out = []
-        for t in self.trees:
-            seq = []
-            node = t
-            while node:
-                if len(node) > 1:
-                    raise ValueError("forest is not a path forest")
-                label, node = next(iter(node.items()))
-                seq.append(label)
-            out.append(tuple(seq))
-        return out
-
-    def root_paths(self, j: int) -> list[tuple]:
-        """All root-path label words of tree j, shortest first."""
-        out = []
-
-        def walk(node, prefix):
-            out.append(prefix)
-            for label, child in sorted(node.items()):
-                walk(child, prefix + (label,))
-
-        walk(self.trees[j], ())
-        out.sort(key=lambda w: (len(w), w))
-        return out
-
-
-def normal_form_forest(system: CoxeterSystem) -> NormalFormForest:
-    if not system.is_finite():
-        raise ValueError("normal form forests require a finite system")
-    trees = []
-    for j in range(1, system.rank + 1):
-        labels = system.labels[:j]
-        last = labels[-1]
-        sub = system.subsystem(labels)
-        radius = sub.longest_element().length
-        trie: dict = {}
-        for layer in sub.ball_layers(radius):
-            for x in layer:
-                if sub.left_descents(x) <= {last}:
-                    node = trie
-                    for a in x.word:
-                        node = node.setdefault(a, {})
-        trees.append(trie)
-    return NormalFormForest(system, tuple(trees))
-
-
-def path_forest_cubulation(system: CoxeterSystem, forest: NormalFormForest | None = None) -> ConstructionResult:
+def path_forest_cubulation(system: CoxeterSystem) -> ConstructionResult:
     """Cubulate [1, w0] by concatenating prefixes of the forest's paths.
 
-    Requires the normal form forest to consist of paths, which is verified,
-    not assumed; types A and B qualify.
+    Tree k of the normal form forest spells the minimal representatives of
+    the cosets of the parabolic on the first k-1 generators inside the one
+    on the first k; w0's k-th parabolic factor x_k is the longest of them.
+    The tree has at least l(x_k) + 1 nodes, with equality only for a path,
+    and the trees' node counts multiply to |W|, so the forest is a path
+    forest iff prod (l(x_k) + 1) = |[1, w0]|.  Types A and B qualify.
     """
-    if forest is None:
-        forest = normal_form_forest(system)
-    if not forest.is_path_forest():
+    w0 = system.longest_element()
+    paths = [x.word for x in system.parabolic_factorize(w0)]
+    iv = interval(w0)
+    if prod(len(p) + 1 for p in paths) != len(iv.vertices):
         raise ValueError("normal form forest is not a path forest")
-    paths = forest.path_label_sequences()
     params = tuple(len(p) for p in paths)
     lattice = CubicalLattice(params)
-    iv = interval(system.longest_element())
     assignment = {}
     for coords in product(*(range(k + 1) for k in params)):
         word = []

@@ -662,99 +662,43 @@ class CoxeterSystem:
         }
         return CoxeterSystem(labels, edges)
 
-    def components(self, labels=None) -> list:
-        """Connected components of the Coxeter diagram (as label lists)."""
-        labels = sorted(self.labels if labels is None else labels)
-        remaining = set(labels)
-        comps = []
-        while remaining:
-            start = min(remaining)
-            comp = {start}
-            stack = [start]
-            while stack:
-                a = stack.pop()
-                for b in list(remaining - comp):
-                    if self.m(a, b) != 2:
-                        comp.add(b)
-                        stack.append(b)
-            comps.append(sorted(comp))
-            remaining -= comp
-        return comps
-
-    def classify_component(self, comp) -> tuple | None:
-        """Finite type of one connected diagram component, or None if infinite.
-
-        Returns a tag such as ("A", 3), ("B", 4), ("I2", 7), ("H", 4).
-        """
-        comp = sorted(comp)
-        n = len(comp)
-        if n == 1:
-            return ("A", 1)
-        edges = [
-            (a, b, self.m(a, b))
-            for i, a in enumerate(comp)
-            for b in comp[i + 1 :]
-            if self.m(a, b) != 2
-        ]
-        if any(m is INF for _, _, m in edges):
-            return None
-        if n == 2:
-            m = edges[0][2]
-            return ("A", 2) if m == 3 else ("I2", m)
-        if len(edges) != n - 1:
-            return None  # a cycle
-        adj = {a: [] for a in comp}
-        for a, b, _ in edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        if any(len(v) > 3 for v in adj.values()):
-            return None
-        branch = [a for a in comp if len(adj[a]) == 3]
-        high = [(a, b, m) for a, b, m in edges if m >= 4]
-        if len(branch) > 1 or len(high) > 1 or (branch and high):
-            return None
-        if branch:
-            arms = []
-            b0 = branch[0]
-            for nb in adj[b0]:
-                length, prev, cur = 1, b0, nb
-                while len(adj[cur]) == 2:
-                    nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-                    prev, cur = cur, nxt
-                    length += 1
-                arms.append(length)
-            arms.sort()
-            if arms[0] == 1 and arms[1] == 1:
-                return ("D", n)
-            if arms[:2] == [1, 2] and arms[2] in (2, 3, 4):
-                return ("E", n)
-            return None
-        if not high:
-            return ("A", n)
-        a, b, m = high[0]
-        at_end = len(adj[a]) == 1 or len(adj[b]) == 1
-        if m == 4:
-            if at_end:
-                return ("B", n)
-            if n == 4:
-                return ("F", 4)
-            return None
-        if m == 5 and at_end and n in (3, 4):
-            return ("H", n)
-        return None
-
-    def finite_type(self, labels=None) -> list | None:
-        """Component type tags if the (sub)system is finite, else None."""
-        tags = []
-        for comp in self.components(labels):
-            tag = self.classify_component(comp)
-            if tag is None:
-                return None
-            tags.append(tag)
-        return tags
-
     def is_finite(self) -> bool:
-        return self.finite_type() is not None
+        """True iff W is finite: its Tits form is positive definite.
+
+        Every finite diagram is a forest, so a cycle (an infinite bond
+        counts as an edge) means W is infinite.  On a forest the Cartan
+        matrix is diagonally similar to the Tits form's matrix 2B, even in
+        the asymmetric integer tier, so their leading principal minors
+        agree and Sylvester's criterion applies (Humphreys, Reflection
+        Groups and Coxeter Groups, 6.4).  The minors' signs are the pivots'
+        signs under division-free elimination, row_i <- p*row_i -
+        a_ik*row_k with each pivot p already known positive; a row with
+        a_ik = 0 is left alone, since scaling by p changes no sign.
+        """
+        # the forest test is the precondition of the similarity: around a
+        # cycle the integer tier's matrix need not be similar to 2B
+        root = list(range(self.rank))
+
+        def find(i):
+            while root[i] != i:
+                i = root[i]
+            return i
+
+        for pair in self._edges:
+            i, j = (find(self._idx[a]) for a in pair)
+            if i == j:
+                return False
+            root[i] = j
+        rows = [list(row) for row in self._crow]
+        for k, pivot_row in enumerate(rows):
+            p = pivot_row[k]
+            if scalar_sign(p) <= 0:
+                return False
+            for row in rows[k + 1 :]:
+                a = row[k]
+                if a:
+                    row[:] = [p * x - a * y for x, y in zip(row, pivot_row)]
+        return True
 
     def __repr__(self):
         return f"CoxeterSystem({self.descriptor!r})"

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from itertools import product
 
-from .polynomials import IntPoly, ONE, quantum_poly
-
 
 class CubicalLattice:
     """The directed box graph on prod [0, k_i] with basis-vector edges."""
@@ -39,22 +37,11 @@ class CubicalLattice:
         kept = sorted(k for k in self.params if k > 0)
         return CubicalLattice(kept or (0,))
 
-    @property
-    def dimension(self) -> int:
-        return len(self.params)
-
-    @property
-    def max_rank(self) -> int:
-        return sum(self.params)
-
     def vertex_count(self) -> int:
         n = 1
         for k in self.params:
             n *= k + 1
         return n
-
-    def rank(self, v) -> int:
-        return sum(v)
 
     def vertices(self) -> list[tuple]:
         """All vertices, in (rank, lexicographic) order."""
@@ -78,12 +65,6 @@ class CubicalLattice:
             for i in range(len(v))
             if v[i] > 0
         ]
-
-    def rank_generating_polynomial(self) -> IntPoly:
-        g = ONE
-        for k in self.params:
-            g = g * quantum_poly(k + 1)
-        return g
 
 
 def canonical_form(lattice: CubicalLattice) -> CubicalLattice:

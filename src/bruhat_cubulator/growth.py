@@ -19,10 +19,10 @@ from .polynomials import IntPoly, ONE, SeriesTruncation, euler_exponents, trunca
 
 
 def exponents(tag) -> tuple[int, ...]:
-    """The exponents of a finite type, keyed by a classification tag.
+    """The exponents of an irreducible finite type, keyed by (letter, n).
 
-    Tags are pairs like ("A", 3), ("B", 4), ("I2", 7) as produced by
-    CoxeterSystem.classify_component.
+    n is the rank, except in ("I2", m), where it is the bond order m.
+    _affine_exponents builds the tag from an affine type label.
     """
     letter, n = tag
     if letter == "A":

@@ -128,20 +128,6 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def shift(self, k: int) -> "IntPoly":
-        """Multiply by the k-th power of the variable."""
-        if self.is_zero():
-            return self
-        return IntPoly((0,) * k + self.coeffs)
-
-    def reversed(self) -> "IntPoly":
-        """Coefficient mirror: x^deg * p(1/x).  Zero maps to zero."""
-        return IntPoly(tuple(reversed(self.coeffs)))
-
-    def truncate(self, k: int) -> "IntPoly":
-        """Drop all terms of degree greater than k."""
-        return IntPoly(self.coeffs[: k + 1])
-
     def __repr__(self):
         if self.is_zero():
             return "IntPoly(0)"

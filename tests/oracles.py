@@ -224,15 +224,25 @@ def word_matrix(system: CoxeterSystem, iword: tuple) -> tuple:
     return tuple(cols)
 
 
-def matrix_product(system: CoxeterSystem, a: tuple, b: tuple) -> tuple:
-    """Product of two matrices given as tuples of columns."""
+def matrix_product(system: CoxeterSystem, a: tuple, b: tuple, products: dict) -> tuple:
+    """Product of two matrices given as tuples of columns.
+
+    ``products`` memoizes scalar products by their factors' coefficient
+    tuples: the entries of a finite group's matrices take few values.
+    """
+
+    def times(x, y):
+        key = (getattr(x, "coeffs", x), getattr(y, "coeffs", y))
+        if key not in products:
+            products[key] = x * y
+        return products[key]
 
     def times_vector(x):
         out = [system._zero] * system.rank
         for j, xj in enumerate(x):
             if xj:
                 for i, c in enumerate(a[j]):
-                    out[i] = out[i] + xj * c
+                    out[i] = out[i] + times(xj, c)
         return tuple(out)
 
     return tuple(times_vector(col) for col in b)
@@ -245,7 +255,8 @@ def multiplication_table(system: CoxeterSystem) -> dict:
     matrix = {el: word_matrix(system, el.iword) for el in elements}
     by_matrix = {m: el for el, m in matrix.items()}
     table = {}
+    products: dict = {}
     for a in elements:
         for b in elements:
-            table[(a, b)] = by_matrix[matrix_product(system, matrix[a], matrix[b])]
+            table[(a, b)] = by_matrix[matrix_product(system, matrix[a], matrix[b], products)]
     return table

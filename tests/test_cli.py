@@ -73,6 +73,13 @@ class TestKL:
         spot = [p for p in doc["pairs"] if p["x"] == 0 and p["y"] == top]
         assert spot[0]["P"] == [1, 1]
 
+    def test_empty_word_is_the_identity(self, capsys):
+        code, out, _ = run(capsys, "kl", "--system", "A3", "--word", "")
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["vertices"]) == 1
+        assert len(doc["pairs"]) == 1
+
 
 class TestCubulate:
     def test_found(self, capsys):
@@ -86,6 +93,13 @@ class TestCubulate:
         code, out, _ = run(capsys, "cubulate", "--system", "A3", "--word", "2 1 3 2")
         assert code == 1
         assert json.loads(out)["status"] == "Exhausted"
+
+    def test_empty_word_is_the_identity(self, capsys):
+        code, out, _ = run(capsys, "cubulate", "--system", "A3", "--word", "")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["status"] == "Found"
+        assert doc["certificate"]["lattice"] == [0]
 
     def test_budget_writes_checkpoint_and_resumes(self, capsys, tmp_path):
         cp = tmp_path / "cp.json"

@@ -9,35 +9,6 @@ from bruhat_cubulator.search import cubulate, verify_certificate
 from conftest import system
 
 
-class TestNormalFormForest:
-    def test_a3_paths(self, a3):
-        forest = cx.normal_form_forest(a3)
-        assert forest.is_path_forest()
-        assert forest.path_label_sequences() == [(1,), (2, 1), (3, 2, 1)]
-
-    def test_b3_paths(self, b3):
-        forest = cx.normal_form_forest(b3)
-        assert forest.is_path_forest()
-        assert forest.path_label_sequences() == [(1,), (2, 1, 2), (3, 2, 1, 2, 3)]
-
-    def test_d4_branches(self):
-        forest = cx.normal_form_forest(system("D4"))
-        assert not forest.is_path_forest()
-        with pytest.raises(ValueError):
-            forest.path_label_sequences()
-
-    def test_root_path_counts_multiply_to_order(self, b3):
-        forest = cx.normal_form_forest(b3)
-        total = 1
-        for j in range(b3.rank):
-            total *= len(forest.root_paths(j))
-        assert total == 48
-
-    def test_infinite_rejected(self, atilde2):
-        with pytest.raises(ValueError):
-            cx.normal_form_forest(atilde2)
-
-
 class TestPathForestCubulation:
     @pytest.mark.parametrize(
         "tag,params,tag_name",
@@ -48,6 +19,9 @@ class TestPathForestCubulation:
             ("A4", (1, 2, 3, 4), "nff-A"),
             ("B2", (1, 3), "nff-B"),
             ("B3", (1, 3, 5), "nff-B"),
+            ("G2", (1, 5), "nff-B"),
+            ("I2(5)", (1, 4), "nff-B"),
+            ("I2(8)", (1, 7), "nff-B"),
         ],
     )
     def test_families(self, tag, params, tag_name):
@@ -57,8 +31,13 @@ class TestPathForestCubulation:
         assert verify_certificate(res.interval, res.certificate)
 
     def test_branching_forest_rejected(self):
-        with pytest.raises(ValueError):
-            cx.path_forest_cubulation(system("D4"))
+        for tag in ("D4", "D5", "F4", "H3"):
+            with pytest.raises(ValueError, match="not a path forest"):
+                cx.path_forest_cubulation(system(tag))
+
+    def test_infinite_rejected(self, atilde2):
+        with pytest.raises(ValueError, match="finite system"):
+            cx.path_forest_cubulation(atilde2)
 
 
 class TestBoolean:

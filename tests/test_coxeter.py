@@ -185,37 +185,93 @@ class TestParabolic:
             prod = prod * f
         assert prod is w
 
-    def test_known_example(self, a3):
+    def test_known_example(self, a3, b3):
+        # the parabolic factors of w0 spell the normal form forest's paths
         factors = a3.parabolic_factorize(a3.longest_element())
         assert [f.word for f in factors] == [(1,), (2, 1), (3, 2, 1)]
+        factors = b3.parabolic_factorize(b3.longest_element())
+        assert [f.word for f in factors] == [(1,), (2, 1, 2), (3, 2, 1, 2, 3)]
+
+
+def chain(*bonds):
+    """Coxeter matrix of a path diagram with these bond orders."""
+    n = len(bonds) + 1
+    mat = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for i, m in enumerate(bonds):
+        mat[i][i + 1] = mat[i + 1][i] = m
+    return mat
+
+
+def cycle(*bonds):
+    """Coxeter matrix of a cycle diagram; bond k joins nodes k and k+1 mod n."""
+    mat = chain(*bonds[:-1])
+    mat[0][-1] = mat[-1][0] = bonds[-1]
+    return mat
+
+
+def star(*arms):
+    """Coxeter matrix of the simply laced star T(p, q, r): arms of p-1, q-1, r-1 nodes."""
+    n = 1 + sum(a - 1 for a in arms)
+    mat = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    node = 1
+    for a in arms:
+        prev = 0
+        for _ in range(a - 1):
+            mat[prev][node] = mat[node][prev] = 3
+            prev, node = node, node + 1
+    return mat
+
+
+def disjoint(a, b):
+    """Coxeter matrix of the disjoint union of two diagrams."""
+    n, k = len(a), len(b)
+    return [row + [2] * k for row in a] + [[2] * n + row for row in b]
+
+
+FINITE_TAGS = ("A1", "A2", "A7", "B2", "B6", "C3", "D4", "D7", "E6", "E7", "E8",
+               "F4", "G2", "H3", "H4", "I2(5)", "I2(7)", "I2(12)")
+AFFINE_TAGS = ("Atilde1", "Atilde2", "Atilde5", "Btilde3", "Btilde5", "Ctilde2",
+               "Ctilde4", "Dtilde4", "Dtilde6", "Etilde6", "Etilde7", "Etilde8",
+               "Ftilde4", "Gtilde2")
 
 
 class TestSubsystems:
-    def test_components(self, a3):
-        assert a3.components() == [[1, 2, 3]]
-        assert a3.components([1, 3]) == [[1], [3]]
-
     def test_classification(self):
-        assert system("B4").finite_type() == [("B", 4)]
-        assert system("E7").finite_type() == [("E", 7)]
-        assert system("H4").finite_type() == [("H", 4)]
-        assert system("I2(5)").finite_type() == [("I2", 5)]
-        assert system("D5").finite_type() == [("D", 5)]
-        assert system("G2").finite_type() == [("I2", 6)]
-        for tag in ("Atilde1", "Atilde2", "Btilde3", "Ctilde2", "Dtilde4",
-                    "Etilde6", "Etilde7", "Etilde8", "Ftilde4", "Gtilde2"):
-            assert not system(tag).is_finite(), tag
+        finite = [system(tag) for tag in FINITE_TAGS] + [
+            build_system(matrix)
+            for matrix in (chain(2), disjoint(chain(5, 3), chain(7)))
+        ]
+        infinite = [system(tag) for tag in AFFINE_TAGS] + [
+            build_system(matrix)
+            for matrix in (
+                chain(3, 7),  # the triangle group (2, 3, 7)
+                chain(4, 4),  # (2, 4, 4)
+                cycle(3, 3, 3),
+                cycle(4, 4, 4),  # a cycle through the asymmetric integer tier
+                cycle(3, 3, 3, 3),
+                chain(5, 3, 3, 3),  # H5
+                chain(3, 4, 3, 3),  # F5
+                star(2, 3, 6),
+                chain(0),  # an infinite bond
+            )
+        ]
+        for sys in finite:
+            assert sys.is_finite(), sys
+        for sys in infinite:
+            assert not sys.is_finite(), sys
 
     def test_affine_parabolic_types(self):
         sys = system("Ftilde4")
         sub = sys.subsystem([1, 2, 3, 4])
-        assert sub.finite_type() == [("F", 4)]
+        assert sub.is_finite()
+        assert sub.longest_element().length == 24  # F4
         sub0 = sys.subsystem([0, 1, 2, 3])
-        assert sub0.finite_type() == [("B", 4)]
+        assert sub0.is_finite()
+        assert sub0.longest_element().length == 16  # B4
 
     def test_disconnected_subsystem(self, a3):
         sub = a3.subsystem([1, 3])
-        assert sub.finite_type() == [("A", 1), ("A", 1)]
+        assert sub.is_finite()
         assert sub.longest_element().length == 2
 
 

@@ -40,8 +40,17 @@ GOLDEN = [
         "4c8e6dbf2495902ebed756a4a0e221abbc7248ab97d09460ed4e09167af99331",
     ),
     (
+        ("construct", "--system", "B3", "--construction", "path-forest"),
+        "a4b4ed0fecbd8bc6e18caadcd3169b350404ce30366792a3fc506edef78e260b",
+    ),
+    (
         ("construct", "--system", "Atilde2", "--construction", "atilde2", "--m", "3"),
         "f45dcbe097273ceaa69142617402fc3dc1d399bf55d2278202f6453c97495fee",
+    ),
+    (
+        # a finite system: no probe and no minimal nonspherical L
+        ("growth", "--system", "H3", "--order", "6"),
+        "b1b2c29af10bfb4f443b1c484fb09fd1628a70dd477b65c07e2a92c7f3d21211",
     ),
     (
         ("growth", "--system", "Atilde2", "--order", "10"),
