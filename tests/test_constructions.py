@@ -3,10 +3,35 @@ from __future__ import annotations
 import pytest
 
 from bruhat_cubulator import constructions as cx
+from bruhat_cubulator.bruhat import interval
 from bruhat_cubulator.kl import all_trivial
 from bruhat_cubulator.search import cubulate, verify_certificate
 
 from conftest import system
+
+
+class TestNormalFormForest:
+    """The forest's trees are read off the parabolic factors x_k of w0."""
+
+    def test_a3_paths(self, a3):
+        paths = [x.word for x in a3.parabolic_factorize(a3.longest_element())]
+        assert paths == [(1,), (2, 1), (3, 2, 1)]
+        assert cx.path_forest_cubulation(a3).lattice.params == (1, 2, 3)
+
+    def test_b3_paths(self, b3):
+        paths = [x.word for x in b3.parabolic_factorize(b3.longest_element())]
+        assert paths == [(1,), (2, 1, 2), (3, 2, 1, 2, 3)]
+        assert cx.path_forest_cubulation(b3).lattice.params == (1, 3, 5)
+
+    def test_d4_branches(self):
+        d4 = system("D4")
+        w0 = d4.longest_element()
+        nodes_if_paths = 1
+        for x in d4.parabolic_factorize(w0):
+            nodes_if_paths *= x.length + 1
+        assert nodes_if_paths < len(interval(w0).vertices) == 192
+        with pytest.raises(ValueError, match="not a path forest"):
+            cx.path_forest_cubulation(d4)
 
 
 class TestPathForestCubulation:

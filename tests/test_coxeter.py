@@ -185,12 +185,9 @@ class TestParabolic:
             prod = prod * f
         assert prod is w
 
-    def test_known_example(self, a3, b3):
-        # the parabolic factors of w0 spell the normal form forest's paths
+    def test_known_example(self, a3):
         factors = a3.parabolic_factorize(a3.longest_element())
         assert [f.word for f in factors] == [(1,), (2, 1), (3, 2, 1)]
-        factors = b3.parabolic_factorize(b3.longest_element())
-        assert [f.word for f in factors] == [(1,), (2, 1, 2), (3, 2, 1, 2, 3)]
 
 
 def chain(*bonds):
