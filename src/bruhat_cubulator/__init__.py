@@ -5,15 +5,14 @@ and graphs, computes R- and Kazhdan-Lusztig polynomials, searches for
 cubical-lattice spanning subgraphs, and evaluates growth series.
 """
 
-from .bruhat import BruhatInterval, bruhat_graph, bruhat_leq, interval, poincare_polynomial
+from .bruhat import BruhatInterval, bruhat_leq, interval, poincare_polynomial
 from .coxeter import CoxeterSystem, Element, build_system
-from .cube import CubicalLattice, canonical_form
+from .cube import CubicalLattice
 from .kl import (
     CPReport,
     KLConsistencyError,
     KLTable,
     all_trivial,
-    b_equals_N,
     carrell_peterson_report,
     kl_polynomial,
     kl_table,
@@ -56,12 +55,9 @@ __all__ = [
     "SearchOutcome",
     "SeriesTruncation",
     "all_trivial",
-    "b_equals_N",
-    "bruhat_graph",
     "bruhat_leq",
     "build_system",
     "candidate_shapes",
-    "canonical_form",
     "carrell_peterson_report",
     "cubulate",
     "interval",

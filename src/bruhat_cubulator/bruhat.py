@@ -39,7 +39,6 @@ class BruhatInterval:
         self.top = top
         self._build()
         self._below_masks = None
-        self._succ_masks = None
 
     # -- construction -------------------------------------------------------
 
@@ -105,23 +104,6 @@ class BruhatInterval:
             self._below_masks = masks
         return self._below_masks
 
-    @property
-    def succ_masks(self) -> list[int]:
-        """For each vertex u, the bitset of v with a Bruhat edge u -> v."""
-        if self._succ_masks is None:
-            masks = [0] * len(self.vertices)
-            for u, v, _ in self.bruhat_edges:
-                masks[u] |= 1 << v
-            self._succ_masks = masks
-        return self._succ_masks
-
-    def length_masks(self) -> dict[int, int]:
-        """Bitset of vertex ids for each length value."""
-        out: dict[int, int] = {}
-        for i, l in enumerate(self.lengths):
-            out[l] = out.get(l, 0) | (1 << i)
-        return out
-
     def leq_ids(self, x_id: int, y_id: int) -> bool:
         return bool(self.below_masks[y_id] >> x_id & 1)
 
@@ -154,10 +136,6 @@ def interval(y: Element) -> BruhatInterval:
 
 def bruhat_leq(x: Element, y: Element) -> bool:
     return x.system.bruhat_leq(x, y)
-
-
-def bruhat_graph(iv: BruhatInterval) -> list:
-    return list(iv.bruhat_edges)
 
 
 def poincare_polynomial(iv: BruhatInterval) -> IntPoly:

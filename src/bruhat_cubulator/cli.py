@@ -11,6 +11,7 @@ import argparse
 import json
 import re
 import sys
+from itertools import accumulate
 from pathlib import Path
 
 from . import constructions as cx
@@ -24,17 +25,25 @@ _EXIT = {FOUND: 0, EXHAUSTED: 1, BUDGET_EXCEEDED: 3}
 
 
 def parse_budget(text: str) -> int:
-    """Accept plain integers plus the power forms 10^9 and 3*10^8."""
+    """Accept plain integers below 2^63 plus the power forms 10^9 and 3*10^8."""
+    too_large = argparse.ArgumentTypeError("budget must be below 2^63")
     mm = re.fullmatch(r"(?:(\d+)\*)?(\d+)\^(\d+)", text)
-    if mm:
-        mant = int(mm.group(1)) if mm.group(1) else 1
-        value = mant * int(mm.group(2)) ** int(mm.group(3))
-    elif re.fullmatch(r"\d+", text):
-        value = int(text)
-    else:
-        raise argparse.ArgumentTypeError(f"bad budget {text!r}")
+    try:
+        if mm:
+            mant = int(mm.group(1)) if mm.group(1) else 1
+            # b^e >= 2^63 once b >= 2 and e >= 63, and 0^e, 1^e are the same
+            # for every e >= 63, so capping e keeps the test without the power
+            value = mant * int(mm.group(2)) ** min(int(mm.group(3)), 63)
+        elif re.fullmatch(r"\d+", text):
+            value = int(text)
+        else:
+            raise argparse.ArgumentTypeError(f"bad budget {text!r}")
+    except ValueError:  # int() refuses a string of more than 4300 digits
+        raise too_large from None
     if value <= 0:
         raise argparse.ArgumentTypeError("budget must be positive")
+    if value >= 2**63:
+        raise too_large
     return value
 
 
@@ -69,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cubulate", help="search for a cubical-lattice spanning subgraph")
     common(p)
-    p.add_argument("--budget", type=parse_budget, help="node-expansion budget, e.g. 10^9")
+    p.add_argument("--budget", type=parse_budget, help="node-expansion budget below 2^63, e.g. 10^9")
     p.add_argument(
         "--workers",
         type=parse_workers,
@@ -181,14 +190,17 @@ def _cmd_construct(args) -> int:
 def _cmd_growth(args) -> int:
     system = build_system(args.system)
     order = args.order
+    w = growth.poincare_truncation(system, order)
+    # the ball sizes are the coefficients of Gamma(z) = W(z) / (1 - z)
+    balls = list(accumulate(w.coeffs))
     doc = {
         "schema": serialize.SCHEMA,
         "kind": "growth",
         "system": system.descriptor,
         "order": order,
-        "ball_sizes": growth.ball_sizes(system, order),
-        "poincare": list(growth.poincare_truncation(system, order).coeffs),
-        "volume_growth": list(growth.volume_growth_truncation(system, order).coeffs),
+        "ball_sizes": balls,
+        "poincare": list(w.coeffs),
+        "volume_growth": balls,
         "bott": None,
         "minimal_nonspherical_L": None,
         "probe": None,
@@ -203,7 +215,7 @@ def _cmd_growth(args) -> int:
         pass
     # the probe reads shapes from order 1 on; at order 0 there is none
     if not system.is_finite() and order >= 1:
-        report = growth.growth_quantum_probe(system, order)
+        report = growth.growth_quantum_probe(system, w)
         doc["probe"] = {
             "f_coeffs": list(report.f_coeffs),
             "stabilization_index": report.stabilization_index,

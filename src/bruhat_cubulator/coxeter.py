@@ -745,16 +745,6 @@ class Element:
             return self.system.multiply(self, other)
         return NotImplemented
 
-    def sort_key(self):
-        """Canonical total order: by length, then shortlex on the word."""
-        return (len(self.iword), self.iword)
-
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
-
-    def __le__(self, other):
-        return self.sort_key() <= other.sort_key()
-
     def __repr__(self):
         if not self.iword:
             return "Element(e)"

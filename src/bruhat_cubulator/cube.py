@@ -65,7 +65,3 @@ class CubicalLattice:
             for i in range(len(v))
             if v[i] > 0
         ]
-
-
-def canonical_form(lattice: CubicalLattice) -> CubicalLattice:
-    return lattice.canonical_form()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .coxeter import CoxeterSystem, Element
 from .polynomials import IntPoly, ONE, SeriesTruncation, euler_exponents, truncated_rational
@@ -66,13 +67,7 @@ def ball_sizes(system: CoxeterSystem, radius: int) -> list[int]:
     """Cumulative ball cardinalities beta(0), ..., beta(radius)."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    counts = system.ball_layer_counts(radius)
-    out = []
-    total = 0
-    for c in counts:
-        total += c
-        out.append(total)
-    return out
+    return list(accumulate(system.ball_layer_counts(radius)))
 
 
 def poincare_truncation(system: CoxeterSystem, order: int) -> SeriesTruncation:
@@ -165,18 +160,16 @@ class GrowthProbeReport:
     stabilized_shape: tuple[int, ...] | None
     caveat: str = "finite truncation only; not evidence about the full series"
 
-    @property
-    def stabilized(self) -> bool:
-        return self.stabilization_index is not None
 
-
-def growth_quantum_probe(system: CoxeterSystem, order: int) -> GrowthProbeReport:
+def growth_quantum_probe(system: CoxeterSystem, w: SeriesTruncation) -> GrowthProbeReport:
+    """Probe the truncation w of the system's W(z), as ``poincare_truncation`` gives it."""
+    order = w.order
     if order < 1:
         raise ValueError("order must be at least 1")
     if system.is_finite():
         raise ValueError("the probe applies to infinite systems")
     n = system.rank
-    f = poincare_truncation(system, order)
+    f = w
     for _ in range(n):
         f = f.mul_poly(_one_minus_z_pow(1))
     shapes_by_order: dict[int, tuple] = {}

@@ -13,6 +13,7 @@ and any violation raises, since it can only mean an implementation bug.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -156,10 +157,6 @@ class CPReport:
     palindromic: bool
     a_y: Fraction
 
-    @property
-    def trivial(self) -> bool:
-        return self.all_trivial
-
 
 def carrell_peterson_report(y: Element) -> CPReport:
     """Evaluate the four equivalent triviality conditions for [1, y]."""
@@ -176,10 +173,8 @@ def table_report(table: KLTable) -> CPReport:
     iv = table.interval
     y = iv.top
     cond_trivial = all(p == ONE for p in table.top_column())
-    cond_edges = all(
-        iv.succ_masks[i].bit_count() == y.length - iv.lengths[i]
-        for i in range(len(iv.vertices))
-    )
+    out_degree = Counter(u for u, _, _ in iv.bruhat_edges)
+    cond_edges = all(out_degree[i] == y.length - l for i, l in enumerate(iv.lengths))
     a_y = Fraction(sum(iv.lengths), len(iv.vertices))
     cond_average = a_y == Fraction(y.length, 2)
     cond_palindromic = is_palindromic(poincare_polynomial(iv))
@@ -201,8 +196,3 @@ def soergel_h(x: Element, y: Element) -> IntPoly:
     for i, a in enumerate(p.coeffs):
         coeffs[d - 2 * i] = a
     return IntPoly(coeffs)
-
-
-def b_equals_N(y: Element) -> bool:
-    """True iff h_{x,y} is the single monomial v^(l(y)-l(x)) for all x <= y."""
-    return all_trivial(y, definitional=True)

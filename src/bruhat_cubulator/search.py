@@ -1,12 +1,13 @@
 """Backtracking search for cubical-lattice spanning subgraphs of Bruhat graphs.
 
 Lattice vertices are processed in (rank, lexicographic) order, so every
-lattice predecessor of a vertex is assigned before it.  The candidate set
-for a vertex is a bitset intersection: interval vertices of the right
-length, unused, and Bruhat-successors of every predecessor.  That
-intersection is formed once, when the vertex's last predecessor is
-assigned, and an assignment that leaves such a vertex with no candidate
-is undone at once (forward checking; Ullmann, J. ACM 23, 1976).
+lattice predecessor of a vertex is assigned before it.  A lattice edge
+raises the rank by one, so it must land on a Hasse edge of [1, y], and
+the candidate set for a vertex is a bitset intersection: unused interval
+vertices that cover the image of every predecessor.  That intersection
+is formed once, when the vertex's last predecessor is assigned, and an
+assignment that leaves such a vertex with no candidate is undone at once
+(forward checking; Ullmann, J. ACM 23, 1976).
 Candidates are consumed in increasing vertex id, which makes runs
 deterministic, makes a Found certificate the lexicographically least
 one, and lets a checkpoint consist of just the chosen-id path.  The
@@ -120,11 +121,12 @@ def search(
     nv = len(verts)
     vert_pos = {v: i for i, v in enumerate(verts)}
     preds = [[vert_pos[u] for u in lattice.predecessors(v)] for v in verts]
-    length_mask = iv.length_masks()
-    succ = iv.succ_masks
-    allowed = [length_mask.get(sum(v), 0) for v in verts]
-    if nv > 1:
-        allowed[1] &= _orbit_minima(iv)
+    # up[u]: the interval vertices that cover u
+    n = len(iv)
+    up = [0] * n
+    for u, v in iv.hasse_edges:
+        up[u] |= 1 << v
+    minima = _orbit_minima(iv)
     # ready[p]: the vertices whose last predecessor in search order is p
     ready: list[list[int]] = [[] for _ in range(nv)]
     for r in range(1, nv):
@@ -141,10 +143,10 @@ def search(
 
     assigned = [-1] * nv
     masks = [0] * nv
-    # base[p]: allowed[p] and the succ masks of p's predecessors, filled
-    # when the last of them is assigned
+    # base[p]: the covers of the images of p's predecessors (at position 1,
+    # orbit minima only), filled when the last of them is assigned
     base = [0] * nv
-    base[0] = allowed[0]
+    base[0] = 1  # the identity
     used = 0
     expansions = 0
     prunes_forward = 0
@@ -160,9 +162,9 @@ def search(
         """Fill base for ready[p]; False if one of them has no candidate left."""
         free = ~used
         for r in ready[p]:
-            m = allowed[r]
+            m = minima if r == 1 else -1
             for q in preds[r]:
-                m &= succ[assigned[q]]
+                m &= up[assigned[q]]
             base[r] = m
             if not m & free:
                 return False
@@ -175,7 +177,8 @@ def search(
             "checkpoint does not replay against this interval: it was written by another "
             "job, or by an older version of the search whose pruning rules differ"
         )
-        if len(path) >= nv:
+        # an id past the interval is stale before any mask is shifted by it
+        if len(path) >= nv or not all(0 <= i < n for i in (*path, min_id)):
             raise stale
         for depth, cid in enumerate(path):
             m = candidates(depth)

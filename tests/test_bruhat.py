@@ -2,11 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from bruhat_cubulator.bruhat import (
-    bruhat_graph,
-    interval,
-    poincare_polynomial,
-)
+from bruhat_cubulator.bruhat import interval, poincare_polynomial
 from bruhat_cubulator.polynomials import IntPoly
 
 import oracles
@@ -100,13 +96,18 @@ class TestEdges:
 
     def test_out_degrees_a2(self, a2):
         iv = interval(a2.longest_element())
-        assert iv.succ_masks[iv.index[a2.identity]].bit_count() == 3
-        assert iv.succ_masks[iv.index[a2.generator(1)]].bit_count() == 2
+
+        def out_degree(x):
+            return sum(u == iv.index[x] for u, _, _ in iv.bruhat_edges)
+
+        assert out_degree(a2.identity) == 3
+        assert out_degree(a2.generator(1)) == 2
 
     def test_graph_copy(self, a2):
-        iv = interval(a2.longest_element())
-        assert bruhat_graph(iv) == iv.bruhat_edges
-        assert bruhat_graph(iv) is not iv.bruhat_edges
+        # the graph is the edge list, one edge per Bruhat pair, in (u, v) order
+        edges = list(interval(a2.longest_element()).bruhat_edges)
+        assert len(edges) == 3 + 2 + 2 + 1 + 1
+        assert [e[:2] for e in edges] == sorted({e[:2] for e in edges})
 
 
 class TestMasks:
@@ -117,22 +118,6 @@ class TestMasks:
             for x_id, x in enumerate(iv.vertices):
                 for y_id, y in enumerate(iv.vertices):
                     assert iv.leq_ids(x_id, y_id) == leq(x, y), (tag, word, x, y)
-
-    def test_succ_masks(self, a3):
-        iv = interval(a3.element((2, 1, 3, 2)))
-        for u_id in range(len(iv.vertices)):
-            succ = {v for u, v, _ in iv.bruhat_edges if u == u_id}
-            mask = iv.succ_masks[u_id]
-            assert {i for i in range(len(iv.vertices)) if mask >> i & 1} == succ
-
-    def test_length_masks_partition(self, a3):
-        iv = interval(a3.longest_element())
-        masks = iv.length_masks()
-        assert sum(m.bit_count() for m in masks.values()) == len(iv.vertices)
-        for l, m in masks.items():
-            for i in range(len(iv.vertices)):
-                if m >> i & 1:
-                    assert iv.lengths[i] == l
 
     def test_contains(self, a3):
         iv = interval(a3.element((1, 2)))

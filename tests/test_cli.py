@@ -18,15 +18,44 @@ def run(capsys, *argv):
 class TestBudgetParsing:
     @pytest.mark.parametrize(
         "text,value",
-        [("17", 17), ("10^9", 10**9), ("3*10^8", 3 * 10**8), ("2^10", 1024)],
+        [
+            ("17", 17),
+            ("10^9", 10**9),
+            ("3*10^8", 3 * 10**8),
+            ("2^10", 1024),
+            ("2^62", 2**62),
+            ("1^1000000", 1),
+            ("9223372036854775807", 2**63 - 1),
+        ],
     )
     def test_accepted(self, text, value):
         assert parse_budget(text) == value
 
-    @pytest.mark.parametrize("text", ["", "0", "-5", "ten", "10^", "1e9", "10**3"])
+    @pytest.mark.parametrize("text", ["", "0", "-5", "ten", "10^", "1e9", "10**3", "0^1000000"])
     def test_rejected(self, text):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_budget(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "10^1000000",
+            "2^63",
+            "9223372036854775808",
+            "1*2^64",
+            pytest.param("1" * 5000, id="5000-digits"),
+            pytest.param("1" * 5000 + "^1", id="5000-digit-base"),
+        ],
+    )
+    def test_too_large_is_refused_unevaluated(self, text):
+        with pytest.raises(argparse.ArgumentTypeError, match="below 2\\^63"):
+            parse_budget(text)
+
+    def test_too_large_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cubulate", "--system", "A2", "--element", "w0", "--budget", "10^100"])
+        assert exc.value.code == 2
+        assert "below 2^63" in capsys.readouterr().err
 
 
 class TestInterval:

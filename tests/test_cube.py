@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from bruhat_cubulator.cube import CubicalLattice, canonical_form
+from bruhat_cubulator.cube import CubicalLattice
 from bruhat_cubulator.polynomials import quantum_poly
 
 
@@ -21,7 +21,7 @@ class TestCubicalLattice:
     def test_canonical_form(self):
         assert CubicalLattice((3, 0, 1)).canonical_form().params == (1, 3)
         assert CubicalLattice((0, 0)).canonical_form().params == (0,)
-        assert canonical_form(CubicalLattice((2, 1))).params == (1, 2)
+        assert CubicalLattice((2, 1)).canonical_form().params == (1, 2)
 
     def test_vertices_order_and_count(self):
         lat = CubicalLattice((1, 2))

@@ -1,8 +1,9 @@
 """Golden outputs: the SHA-256 of the stdout of a few fast CLI jobs.
 
 Serialized documents are byte-stable, so a refactor must leave every digest
-unchanged.  The set covers each subcommand that prints a document, the
-integer, ring (H3) and affine tiers.  A deliberate output change updates
+and exit code unchanged.  The set covers each subcommand that prints a
+document, the integer, ring (H3) and affine tiers, and budgeted searches
+that stop with BudgetExceeded (exit 3).  A deliberate output change updates
 the digest here and names the change in CHANGES.md.
 """
 
@@ -21,62 +22,90 @@ from bruhat_cubulator.cli import main
 GOLDEN = [
     (
         ("interval", "--system", "A3", "--element", "w0"),
+        0,
         "c1a82c8b156c20361a5eda068dc18c890329f10c70f8c1ce2e9bb2ffbf87a777",
     ),
     (
         ("kl", "--system", "A3", "--word", "2 1 3 2"),
+        0,
         "b2435b017f44bce20f06512d230965fff7ff85875e24a138b593f4e0c14afaa8",
     ),
     (
         ("kl", "--system", "H3", "--word", "1 2 1 2 1 3 2 1 2 1"),
+        0,
         "3641c145ed5ee599c2d5b0ed99f7be39d7ba5cf5a764241070da4c28ab7ca165",
     ),
     (
         ("cubulate", "--system", "B3", "--element", "w0"),
+        0,
         "4c8e6dbf2495902ebed756a4a0e221abbc7248ab97d09460ed4e09167af99331",
     ),
     (
         ("cubulate", "--system", "B3", "--element", "w0", "--workers", "2"),
+        0,
         "4c8e6dbf2495902ebed756a4a0e221abbc7248ab97d09460ed4e09167af99331",
     ),
     (
         ("construct", "--system", "B3", "--construction", "path-forest"),
+        0,
         "a4b4ed0fecbd8bc6e18caadcd3169b350404ce30366792a3fc506edef78e260b",
     ),
     (
         ("construct", "--system", "Atilde2", "--construction", "atilde2", "--m", "3"),
+        0,
         "f45dcbe097273ceaa69142617402fc3dc1d399bf55d2278202f6453c97495fee",
     ),
     (
         # a finite system: no probe and no minimal nonspherical L
         ("growth", "--system", "H3", "--order", "6"),
+        0,
         "b1b2c29af10bfb4f443b1c484fb09fd1628a70dd477b65c07e2a92c7f3d21211",
     ),
     (
         ("growth", "--system", "Atilde2", "--order", "10"),
+        0,
         "60db1c54e5144340c2f020d6dcf00beaeaee97f7ff8ccb27359a6a489f81e697",
     ),
     (
         ("growth", "--system", "Atilde4", "--order", "13"),
+        0,
         "954e32ed0ec4654dc493acce2f2af2671c76d28eaae07b08bbac7f01fb68a14c",
     ),
     (
         # the quantum-shape probe does not stabilize here
         ("growth", "--system", "Gtilde2", "--order", "16"),
+        0,
         "230649ab1480301e4c5299171d4c7cfcfa9c556e6085dae493c1cf3746f9daf3",
     ),
     (
         ("suite", "smoke"),
+        0,
         "6e8b00a3fa5d9d050718acb53f0c15dd773be03eb959f8ddae8ff14fb662536a",
+    ),
+    (
+        ("cubulate", "--system", "B4", "--element", "w0", "--budget", "50000"),
+        3,
+        "cff5cd424f95c1563817fbccfbb1e3779ec6ca54d8239f792859346edb1cdc2b",
+    ),
+    (
+        ("cubulate", "--system", "F4", "--element", "w0", "--budget", "20000"),
+        3,
+        "75f5d8d5dbea16fb5fc438a6f24068e4a9880dccc24efff7dda4553099c9be1e",
+    ),
+    (
+        # the Bruhat out-degree condition holds at every vertex
+        ("kl", "--system", "B3", "--element", "w0"),
+        0,
+        "03cc28ed203a531a1b1be3cf60d89571f05391843168a9b16888fd2526505e51",
     ),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
-def test_stdout_digest(capsys, argv, digest):
+@pytest.mark.parametrize("argv,exit_code,digest", GOLDEN, ids=[" ".join(a) for a, _, _ in GOLDEN])
+def test_stdout_digest(capsys, argv, exit_code, digest):
     code = main(list(argv))
     out = capsys.readouterr().out
-    assert code == 0
+    assert code == exit_code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
@@ -101,7 +130,8 @@ def run_without(argv, blocked):
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", dict(GOLDEN)[argv]]
+    code, digest = next((c, d) for a, c, d in GOLDEN if a == argv)
+    assert proc.stdout.split() == [str(code), digest]
 
 
 def test_ring_tier_without_mpmath():

@@ -147,24 +147,26 @@ class TestBallInInterval:
 
 class TestProbe:
     def test_atilde2_stabilizes(self, atilde2):
-        report = growth.growth_quantum_probe(atilde2, 10)
-        assert report.stabilized
+        report = growth.growth_quantum_probe(atilde2, growth.poincare_truncation(atilde2, 10))
+        assert report.stabilization_index is not None
         assert report.stabilized_shape == (3,)
         assert report.f_coeffs[:4] == (1, 0, 0, -1)
 
     def test_atilde1_stabilizes(self):
-        report = growth.growth_quantum_probe(system("Atilde1"), 10)
+        sys = system("Atilde1")
+        report = growth.growth_quantum_probe(sys, growth.poincare_truncation(sys, 10))
         assert report.stabilized_shape == (2,)
 
     def test_gtilde2_does_not_stabilize(self):
-        report = growth.growth_quantum_probe(system("Gtilde2"), 10)
-        assert not report.stabilized
+        sys = system("Gtilde2")
+        report = growth.growth_quantum_probe(sys, growth.poincare_truncation(sys, 10))
+        assert report.stabilization_index is None
         assert report.shapes_by_order[10] == ()
 
     @pytest.mark.parametrize("tag", ["Atilde1", "Atilde2", "Atilde3", "Ctilde2", "Gtilde2", "Btilde3"])
     def test_shapes_match_brute_force(self, tag):
         sys = system(tag)
-        report = growth.growth_quantum_probe(sys, 12)
+        report = growth.growth_quantum_probe(sys, growth.poincare_truncation(sys, 12))
         assert report.shapes_by_order == oracles.brute_force_shapes_by_order(sys, 12)
 
     def test_shape_longer_than_rank_is_refused(self):
@@ -179,11 +181,11 @@ class TestProbe:
             def ball_layer_counts(self, order):
                 return ([1, 1, 0, -1, -1] + [0] * order)[: order + 1]
 
-        report = growth.growth_quantum_probe(RankOne(), 6)
+        report = growth.growth_quantum_probe(RankOne(), growth.poincare_truncation(RankOne(), 6))
         assert report.shapes_by_order[2] == ((2,),)
         assert report.shapes_by_order[3] == ()
         assert report.shapes_by_order == oracles.brute_force_shapes_by_order(RankOne(), 6)
 
     def test_finite_rejected(self, a3):
         with pytest.raises(ValueError):
-            growth.growth_quantum_probe(a3, 5)
+            growth.growth_quantum_probe(a3, growth.poincare_truncation(a3, 5))

@@ -10,7 +10,6 @@ from bruhat_cubulator.constructions import y_m
 from bruhat_cubulator.kl import (
     KLTable,
     all_trivial,
-    b_equals_N,
     carrell_peterson_report,
     kl_polynomial,
     kl_table,
@@ -156,14 +155,14 @@ class TestTriviality:
                 assert all_trivial(y) == all_trivial(y, definitional=True)
 
     def test_b_equals_N(self, a3):
-        assert b_equals_N(a3.longest_element())
-        assert not b_equals_N(a3.element((2, 1, 3, 2)))
+        assert all_trivial(a3.longest_element(), definitional=True)
+        assert not all_trivial(a3.element((2, 1, 3, 2)), definitional=True)
 
 
 class TestCarrellPeterson:
     def test_negative_example(self, a3):
         report = carrell_peterson_report(a3.element((2, 1, 3, 2)))
-        assert not report.trivial
+        assert not report.all_trivial
         assert report.a_y == Fraction(29, 14)
         assert (
             report.all_trivial
@@ -175,12 +174,12 @@ class TestCarrellPeterson:
 
     def test_positive_example(self, b3):
         report = carrell_peterson_report(b3.longest_element())
-        assert report.trivial
+        assert report.all_trivial
         assert report.a_y == Fraction(9, 2)
 
     def test_average_is_exact(self, atilde2):
         report = carrell_peterson_report(atilde2.element((0, 1, 0, 2)))
-        assert report.trivial
+        assert report.all_trivial
         assert report.a_y == Fraction(2, 1)
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from bruhat_cubulator import serialize
@@ -92,6 +94,30 @@ class TestSearch:
         for path, min_id in ((out.checkpoint["path"], 1000), (complete, 0)):
             with pytest.raises(ValueError, match="does not replay"):
                 search(iv, shape, checkpoint={"shape": list(shape), "path": path, "min_id": min_id})
+
+    def test_checkpoint_id_past_the_interval_is_stale_unshifted(self, a2):
+        # an id is checked against the interval before a mask is shifted by
+        # it, so a small document cannot set the size of an allocation
+        iv = interval(a2.longest_element())
+        cp = {"shape": [2, 3], "path": [0], "min_id": 10**8}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="does not replay"):
+                search(iv, (2, 3), checkpoint=cp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(ValueError, match="does not replay"):
+            search(iv, (2, 3), checkpoint=dict(cp, path=[10**8], min_id=0))
+
+    @pytest.mark.parametrize("tag,nodes", [("A4", 129), ("B3", 1_322), ("H3", 218), ("D4", 344)])
+    def test_node_counts(self, tag, nodes):
+        # node counts are behaviour: a change to the candidate sets or the
+        # pruning rules moves them
+        out = cubulate(system(tag).longest_element())
+        assert out.status == FOUND
+        assert out.stats["nodes_expanded"] == nodes
 
     def test_equal_parameters_order_the_unit_vectors(self):
         # D4 w0 has shape (2, 4, 4, 6), lattice C(1, 3, 3, 5): e_1 and e_2
