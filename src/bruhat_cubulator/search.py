@@ -8,6 +8,13 @@ vertices that cover the image of every predecessor.  That intersection
 is formed once, when the vertex's last predecessor is assigned, and an
 assignment that leaves such a vertex with no candidate is undone at once
 (forward checking; Ullmann, J. ACM 23, 1976).
+A cubulation is a rank-preserving bijection, and each lattice rank has
+as many vertices as its length band has ids, so each rank maps
+bijectively onto its band.  The search therefore keeps a perfect matching
+of the current rank's unassigned vertices onto the band's free ids, each
+within its candidate set, repairs it by one alternating path per
+assignment and undoes an assignment that leaves none (Regin's
+all-different filter, AAAI 1994).
 Candidates are consumed in increasing vertex id, which makes runs
 deterministic, makes a Found certificate the lexicographically least
 one, and lets a checkpoint consist of just the chosen-id path.  The
@@ -29,6 +36,9 @@ from .polynomials import quantum_factorizations
 FOUND = "Found"
 EXHAUSTED = "Exhausted"
 BUDGET_EXCEEDED = "BudgetExceeded"
+# the version of the pruning rules: node counts, and so the point a
+# checkpoint resumes from, depend on them; bump it when a rule changes
+SEARCH_RULES = 2
 
 
 @dataclass(frozen=True)
@@ -78,6 +88,68 @@ def _orbit_minima(iv: BruhatInterval) -> int:
     return mask
 
 
+def _job(iv: BruhatInterval) -> dict:
+    """What binds a checkpoint to its job: the system, the top element's
+    word and the pruning rules."""
+    return {"system": iv.system.descriptor, "top": list(iv.top.word), "search_rules": SEARCH_RULES}
+
+
+def _augment(o: int, goal: int, domains, blocked: int, match, owner) -> int:
+    """Rematch vertex o along a shortest alternating path that ends on an id
+    in ``goal``, an id no vertex holds; return that id, or -1 if none exists.
+
+    Vertex q may take the ids of ``domains[q] & ~blocked``; ``match[q]`` is
+    q's id and ``owner`` inverts ``match`` on the held ids.  The path is
+    searched breadth first, with no recursion, and nothing is written
+    unless it is found.
+    """
+    seen = blocked
+    via = {}  # id -> the vertex whose domain reached it
+    level = [o]
+    while level:
+        nxt = []
+        for q in level:
+            m = domains[q] & ~seen
+            hit = m & goal
+            if hit:
+                i = (hit & -hit).bit_length() - 1
+                reached = i
+                while True:
+                    j = match[q]
+                    match[q] = i
+                    owner[i] = q
+                    if q == o:
+                        return reached
+                    i, q = j, via[j]
+            seen |= m
+            while m:
+                b = m & -m
+                i = b.bit_length() - 1
+                via[i] = q
+                nxt.append(owner[i])
+                m ^= b
+        level = nxt
+    return -1
+
+
+def _match_rank(lo: int, hi: int, domains, match, owner) -> bool:
+    """Match each vertex lo..hi-1 to its own id in ``domains``: greedily by
+    least id, then by augmenting paths.  False if no such matching exists."""
+    taken = 0
+    for q in range(lo, hi):
+        m = domains[q] & ~taken
+        if m:
+            i = (m & -m).bit_length() - 1
+            match[q] = i
+            owner[i] = q
+        else:
+            i = _augment(q, ~taken, domains, 0, match, owner)
+            if i < 0:
+                return False
+        taken |= 1 << i
+    return True
+
+
 def search(
     iv: BruhatInterval,
     shape,
@@ -87,13 +159,20 @@ def search(
     """Exhaustive depth-first search for one candidate lattice shape.
 
     The search returns the lexicographically least valid assignment L (in
-    search order, by id), or proves that none exists.  Three rules cut the
+    search order, by id), or proves that none exists.  Four rules cut the
     tree, and each holds for L, so none moves a Found certificate and an
     Exhausted verdict stays sound:
 
     - forward checking: once the last predecessor of a lattice vertex is
       assigned, the vertex must keep a candidate, or the assignment is
       undone at once; this removes only subtrees with no completion;
+    - perfect matching: the unassigned vertices of the current rank must
+      have a perfect matching onto the free ids of their length band, each
+      vertex r matched within ``base[r] & ~used``.  A completion maps each
+      rank bijectively onto its band, and each vertex into its candidate
+      set, so it is such a matching; a subtree where none exists has no
+      completion.  The matching is built when the previous rank is
+      complete and repaired by one alternating path per assignment;
     - equal adjacent parameters k_i = k_{i+1}: the image of e_i exceeds that
       of e_{i+1}, which is searched first.  Swapping the two axes of L gives
       a valid assignment that agrees with L before e_{i+1} and sends it to
@@ -104,11 +183,12 @@ def search(
       rank-1 lattice vertex, to a generator id least in its orbit.
 
     ``budget`` bounds the number of node expansions (assignments tried,
-    those undone by the forward check included); exceeding it returns
-    BudgetExceeded with a resumable checkpoint.  A checkpoint replays its
-    path, each entry a candidate at its depth that passes the forward
-    check, and then its ``min_id``, a candidate at the next depth; one that
-    does not raises ValueError.
+    those undone by a rule included); exceeding it returns BudgetExceeded
+    with a resumable checkpoint, bound to the interval and to
+    ``SEARCH_RULES``.  ``nodes_expanded`` counts this call's expansions
+    only.  A checkpoint replays its path, each entry a candidate at its
+    depth that passes the rules, and then its ``min_id``, a candidate at
+    the next depth; one that does not raises ValueError.
     """
     if budget is not None and budget <= 0:
         raise ValueError("budget must be positive")
@@ -131,6 +211,10 @@ def search(
     ready: list[list[int]] = [[] for _ in range(nv)]
     for r in range(1, nv):
         ready[max(preds[r])].append(r)
+    # end[p]: one past the last position of p's rank
+    end = [nv] * nv
+    for q in range(nv - 2, -1, -1):
+        end[q] = q + 1 if sum(verts[q]) < sum(verts[q + 1]) else end[q + 1]
 
     # sym_gt[e_i] = e_{i+1} for equal adjacent parameters: L(e_i) > L(e_{i+1})
     sym_gt: dict[int, int] = {}
@@ -148,8 +232,16 @@ def search(
     base = [0] * nv
     base[0] = 1  # the identity
     used = 0
+    # match[q], for the unassigned q of the current rank: a perfect matching
+    # onto the band's free ids, match[q] in base[q] & ~used; owner inverts
+    # it.  An assigned p keeps match[p] = assigned[p], which nothing reads
+    # until p is undone and which then restores the matching.  Rank 0 starts
+    # matched: position 0 holds id 0, the identity.
+    match = [0] * nv
+    owner = [0] * n
     expansions = 0
     prunes_forward = 0
+    prunes_matching = 0
 
     def candidates(p: int) -> int:
         m = base[p] & ~used
@@ -170,6 +262,27 @@ def search(
                 return False
         return True
 
+    def assign(p: int, cid: int) -> bool:
+        """Assign cid to p, or undo it at once if a rule prunes it."""
+        nonlocal used, prunes_forward, prunes_matching
+        b = 1 << cid
+        assigned[p] = cid
+        used |= b
+        if not forward(p):
+            prunes_forward += 1
+        else:
+            o = owner[cid]
+            # cid's holder o must move, along an alternating path, to p's old id
+            if o == p or _augment(o, 1 << match[p], base, used, match, owner) >= 0:
+                match[p] = cid
+                owner[cid] = p
+                e = end[p]
+                if e > p + 1 or e == nv or _match_rank(e, end[e], base, match, owner):
+                    return True
+            prunes_matching += 1
+        used ^= b
+        return False
+
     p = 0
     if checkpoint is not None:
         path, min_id = checkpoint["path"], checkpoint["min_id"]
@@ -182,13 +295,9 @@ def search(
             raise stale
         for depth, cid in enumerate(path):
             m = candidates(depth)
-            if not (m >> cid) & 1:
+            if not (m >> cid) & 1 or not assign(depth, cid):
                 raise stale
             masks[depth] = m & (-1 << (cid + 1))
-            assigned[depth] = cid
-            used |= 1 << cid
-            if not forward(depth):
-                raise stale
         p = len(path)
         # min_id replays like one more path entry, still to be tried
         masks[p] = candidates(p) & (-1 << min_id)
@@ -204,6 +313,7 @@ def search(
             "wall_time": time.monotonic() - t0,
             "budget_used": expansions,
             "prunes_forward": prunes_forward,
+            "prunes_matching": prunes_matching,
             "status": status,
         }
 
@@ -213,15 +323,11 @@ def search(
             b = m & -m
             cid = b.bit_length() - 1
             if budget is not None and expansions >= budget:
-                cp = {"shape": list(shape), "path": assigned[:p], "min_id": cid}
+                cp = {**_job(iv), "shape": list(shape), "path": assigned[:p], "min_id": cid}
                 return SearchOutcome(BUDGET_EXCEEDED, None, stats(BUDGET_EXCEEDED), cp)
             masks[p] = m ^ b
             expansions += 1
-            assigned[p] = cid
-            used |= b
-            if not forward(p):
-                prunes_forward += 1
-                used ^= b
+            if not assign(p, cid):
                 continue
             if p + 1 == nv:
                 cert = Cubulation(lattice, {v: assigned[i] for i, v in enumerate(verts)})
@@ -246,11 +352,22 @@ def cubulate(
     Returns the search's outcome: Found, Exhausted when the shape's tree
     was fully explored, or BudgetExceeded with a checkpoint naming the
     shape.  With no candidate shape, Exhausted with ``shapes_tried`` 0.
+    A checkpoint must name this job's system and top element and the
+    current ``SEARCH_RULES``, or ValueError names the field that differs.
     The search is serial.
     """
     t0 = time.monotonic()
     if iv is None:
         iv = interval(y)
+    if checkpoint is not None:
+        for key, value in _job(iv).items():
+            if key not in checkpoint:
+                raise ValueError(f"checkpoint lacks {key}; it cannot be bound to this job")
+            if checkpoint[key] != value:
+                raise ValueError(
+                    f"checkpoint {key} {checkpoint[key]!r} differs from this job's {value!r}; "
+                    "the checkpoint belongs to another job or to other pruning rules"
+                )
     shapes = candidate_shapes(iv)
     if checkpoint is not None and tuple(checkpoint["shape"]) not in shapes:
         raise ValueError(

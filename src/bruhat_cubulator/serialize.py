@@ -15,11 +15,12 @@ from .coxeter import CoxeterSystem, build_system
 from .cube import CubicalLattice
 # carrell_peterson_report stays importable from here: bench/tracing.py wraps it by this name
 from .kl import CPReport, KLTable, carrell_peterson_report, table_report  # noqa: F401
-from .search import Cubulation, SearchOutcome
+from .search import SEARCH_RULES, Cubulation, SearchOutcome
 
 SCHEMA = "bruhat-cubulator/1"
 
 _STABLE_STATS = ("status", "nodes_expanded", "shapes_tried", "budget_used")
+_CHECKPOINT_FIELDS = ("system", "top", "search_rules", "shape", "path", "min_id")
 
 
 def dumps(doc) -> str:
@@ -147,6 +148,9 @@ def checkpoint_doc(checkpoint: dict) -> dict:
     return {
         "schema": SCHEMA,
         "kind": "checkpoint",
+        "system": checkpoint["system"],
+        "top": list(checkpoint["top"]),
+        "search_rules": checkpoint["search_rules"],
         "shape": list(checkpoint["shape"]),
         "path": list(checkpoint["path"]),
         "min_id": checkpoint["min_id"],
@@ -154,26 +158,28 @@ def checkpoint_doc(checkpoint: dict) -> dict:
 
 
 def checkpoint_from_doc(doc: dict) -> dict:
-    """The checkpoint in a document written by ``checkpoint_doc``; ValueError otherwise."""
+    """The checkpoint in a document written by ``checkpoint_doc`` under the
+    current search rules; ValueError, naming the field, otherwise."""
     if not isinstance(doc, dict):
         raise ValueError("checkpoint document is not a JSON object")
     if doc.get("schema") != SCHEMA or doc.get("kind") != "checkpoint":
         raise ValueError(
             f"not a checkpoint document: schema {doc.get('schema')!r}, kind {doc.get('kind')!r}"
         )
-    missing = [k for k in ("shape", "path", "min_id") if k not in doc]
+    missing = [k for k in _CHECKPOINT_FIELDS if k not in doc]
     if missing:
         raise ValueError(f"checkpoint document lacks {', '.join(missing)}")
-    for key in ("shape", "path"):
+    if doc["search_rules"] != SEARCH_RULES:
+        raise ValueError(
+            f"checkpoint search_rules {doc['search_rules']!r} differs from this search's "
+            f"{SEARCH_RULES}: it was written under other pruning rules"
+        )
+    for key in ("top", "shape", "path"):
         if not isinstance(doc[key], list) or not all(map(_is_count, doc[key])):
             raise ValueError(f"checkpoint {key} must be a list of non-negative integers")
     if not _is_count(doc["min_id"]):
         raise ValueError("checkpoint min_id must be a non-negative integer")
-    return {
-        "shape": list(doc["shape"]),
-        "path": list(doc["path"]),
-        "min_id": doc["min_id"],
-    }
+    return {k: doc[k] for k in _CHECKPOINT_FIELDS}
 
 
 def _is_count(value) -> bool:

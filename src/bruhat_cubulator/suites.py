@@ -162,7 +162,7 @@ def f4_w0_exhausted():
     out = search.cubulate(w0)
     assert out.status == search.EXHAUSTED, out.status
     assert out.stats["shapes_tried"] == 1, out.stats
-    assert out.stats["nodes_expanded"] == 390_677, out.stats
+    assert out.stats["nodes_expanded"] == 56_049, out.stats
 
 
 _SEARCH_W0 = {

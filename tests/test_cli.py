@@ -7,6 +7,8 @@ import pytest
 
 from bruhat_cubulator import suites
 from bruhat_cubulator.cli import main, parse_budget
+from bruhat_cubulator.coxeter import build_system
+from bruhat_cubulator.search import SEARCH_RULES
 
 
 def run(capsys, *argv):
@@ -166,13 +168,47 @@ class TestCubulate:
         assert out2 == ""
         assert err2.startswith("error:") and "checkpoint" in err2
 
+    def test_checkpoint_of_the_inverse_is_refused(self, capsys, tmp_path):
+        # 1 2 and its inverse 2 1 have the same candidate shape, (2, 2); the
+        # checkpoint names its top element, so it resumes only its own job
+        cp = tmp_path / "cp.json"
+        code, _, _ = run(
+            capsys,
+            "cubulate", "--system", "A3", "--word", "1 2", "--budget", "1", "--checkpoint", str(cp),
+        )
+        assert code == 3
+        code2, out2, err2 = run(
+            capsys, "cubulate", "--system", "A3", "--word", "2 1", "--checkpoint", str(cp)
+        )
+        assert code2 == 2
+        assert out2 == ""
+        assert err2.startswith("error: checkpoint top")
+
+    def test_checkpoint_without_search_rules_is_refused(self, capsys, tmp_path):
+        cp = tmp_path / "cp.json"
+        code, _, _ = run(
+            capsys,
+            "cubulate", "--system", "A3", "--word", "1 2", "--budget", "1", "--checkpoint", str(cp),
+        )
+        assert code == 3
+        doc = json.loads(cp.read_text())
+        del doc["search_rules"]
+        cp.write_text(json.dumps(doc))
+        code2, out2, err2 = run(
+            capsys, "cubulate", "--system", "A3", "--word", "1 2", "--checkpoint", str(cp)
+        )
+        assert code2 == 2
+        assert out2 == ""
+        assert "search_rules" in err2
+
     def test_checkpoint_min_id_out_of_range_is_refused(self, capsys, tmp_path):
         # B3 w0 has a cubulation; a checkpoint whose min_id skips every
         # candidate must not make it look Exhausted
         cp = tmp_path / "c.json"
         cp.write_text(json.dumps({
             "schema": "bruhat-cubulator/1", "kind": "checkpoint",
-            "shape": [2, 4, 6], "path": [0], "min_id": 1000,
+            "system": "B3", "top": list(build_system("B3").longest_element().word),
+            "search_rules": SEARCH_RULES, "shape": [2, 4, 6], "path": [0], "min_id": 1000,
         }))
         code, out, err = run(
             capsys,

@@ -38,12 +38,12 @@ GOLDEN = [
     (
         ("cubulate", "--system", "B3", "--element", "w0"),
         0,
-        "4c8e6dbf2495902ebed756a4a0e221abbc7248ab97d09460ed4e09167af99331",
+        "a5351eff7aaf832968365d51e78065b450d585e4364a5caf31c27ab7ea3c9677",
     ),
     (
         ("cubulate", "--system", "B3", "--element", "w0", "--workers", "2"),
         0,
-        "4c8e6dbf2495902ebed756a4a0e221abbc7248ab97d09460ed4e09167af99331",
+        "a5351eff7aaf832968365d51e78065b450d585e4364a5caf31c27ab7ea3c9677",
     ),
     (
         ("construct", "--system", "B3", "--construction", "path-forest"),
@@ -83,14 +83,20 @@ GOLDEN = [
         "6e8b00a3fa5d9d050718acb53f0c15dd773be03eb959f8ddae8ff14fb662536a",
     ),
     (
+        # the budget exceeds the 29,904-node tree
         ("cubulate", "--system", "B4", "--element", "w0", "--budget", "50000"),
+        0,
+        "fcc691dfbe878531cd0b68472260932dad7a173af5f969a428ab764f5065abf0",
+    ),
+    (
+        ("cubulate", "--system", "B4", "--element", "w0", "--budget", "10000"),
         3,
-        "cff5cd424f95c1563817fbccfbb1e3779ec6ca54d8239f792859346edb1cdc2b",
+        "6819c70dfa55a2345309d07b72348007f89abef7032741d2a74d57857c505ad6",
     ),
     (
         ("cubulate", "--system", "F4", "--element", "w0", "--budget", "20000"),
         3,
-        "75f5d8d5dbea16fb5fc438a6f24068e4a9880dccc24efff7dda4553099c9be1e",
+        "10a7c864e1c6b06051caeae196050ebc124622aa5df8776b3c608e83209c8345",
     ),
     (
         # the Bruhat out-degree condition holds at every vertex

@@ -3,6 +3,8 @@ from __future__ import annotations
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruhat_cubulator import serialize
 from bruhat_cubulator.bruhat import interval
@@ -11,6 +13,8 @@ from bruhat_cubulator.search import (
     EXHAUSTED,
     FOUND,
     Cubulation,
+    _augment,
+    _match_rank,
     candidate_shapes,
     cubulate,
     search,
@@ -111,7 +115,11 @@ class TestSearch:
         with pytest.raises(ValueError, match="does not replay"):
             search(iv, (2, 3), checkpoint=dict(cp, path=[10**8], min_id=0))
 
-    @pytest.mark.parametrize("tag,nodes", [("A4", 129), ("B3", 1_322), ("H3", 218), ("D4", 344)])
+    @pytest.mark.parametrize(
+        "tag,nodes",
+        [("A4", 124), ("B3", 800), ("H3", 165), ("D4", 227)],
+        ids=["A4", "B3", "H3", "D4"],
+    )
     def test_node_counts(self, tag, nodes):
         # node counts are behaviour: a change to the candidate sets or the
         # pruning rules moves them
@@ -156,15 +164,107 @@ class TestSearch:
         assert 0 < out.stats["prunes_forward"] < out.stats["nodes_expanded"]
         assert "prunes_forward" not in serialize.outcome_doc(iv, out)["stats"]
 
+    def test_matching_prunes_are_counted_apart(self, b3):
+        iv = interval(b3.longest_element())
+        out = search(iv, candidate_shapes(iv)[0])
+        assert 0 < out.stats["prunes_matching"] < out.stats["nodes_expanded"]
+        assert "prunes_matching" not in serialize.outcome_doc(iv, out)["stats"]
+
     def test_f4_budget_and_resume_sum_to_the_full_count(self):
         f4 = system("F4")
         iv = interval(f4.longest_element())
         shape = candidate_shapes(iv)[0]
-        first = search(iv, shape, budget=200_000)
+        first = search(iv, shape, budget=20_000)
         assert first.status == BUDGET_EXCEEDED
         rest = search(iv, shape, checkpoint=first.checkpoint)
         assert rest.status == EXHAUSTED
-        assert first.stats["nodes_expanded"] + rest.stats["nodes_expanded"] == 390_677
+        assert first.stats["nodes_expanded"] + rest.stats["nodes_expanded"] == 56_049
+
+    def test_b4_budget_and_resume_reproduce_the_full_run(self):
+        iv = interval(system("B4").longest_element())
+        shape = candidate_shapes(iv)[0]
+        full = search(iv, shape)
+        assert full.stats["nodes_expanded"] == 29_904
+        first = search(iv, shape, budget=10_000)
+        assert first.status == BUDGET_EXCEEDED
+        rest = search(iv, shape, checkpoint=first.checkpoint)
+        assert rest.status == FOUND
+        assert rest.certificate.assignment == full.certificate.assignment
+        assert first.stats["nodes_expanded"] + rest.stats["nodes_expanded"] == 29_904
+
+
+def hall_condition(domains) -> bool:
+    """Brute force: every set of vertices has at least as many ids in the
+    union of its domains (Hall, 1935)."""
+    for subset in range(1 << len(domains)):
+        union = 0
+        for q, dom in enumerate(domains):
+            if subset >> q & 1:
+                union |= dom
+        if bin(union).count("1") < bin(subset).count("1"):
+            return False
+    return True
+
+
+def check_matching(domains, blocked, match, vertices):
+    held = [match[q] for q in vertices]
+    assert len(set(held)) == len(held)
+    for q in vertices:
+        assert (domains[q] & ~blocked) >> match[q] & 1
+
+
+class TestMatching:
+    """The rank matching agrees with Hall's condition, built fresh and
+    repaired after each of a run of assignments.  A family of k domains
+    over the ids 0..k-1 has a perfect matching exactly when Hall's
+    condition holds."""
+
+    families = st.integers(1, 6).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.integers(0, (1 << k) - 1), min_size=k, max_size=k),
+            st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=k),
+        )
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(families)
+    def test_agrees_with_hall(self, family):
+        domains, steps = family
+        k = len(domains)
+        match, owner = [0] * k, [0] * k
+        ok = _match_rank(0, k, domains, match, owner)
+        assert ok == hall_condition(domains)
+        if not ok:
+            return
+        check_matching(domains, 0, match, range(k))
+        # assign vertices one at a time, as the search does: each takes an
+        # id of its domain, and the rest must be matched onto the other ids
+        rest, blocked = list(range(k)), 0
+        for which, pick in steps:
+            p = rest[which % len(rest)]
+            choices = [i for i in range(k) if (domains[p] & ~blocked) >> i & 1]
+            cid = choices[pick % len(choices)]
+            others = [q for q in rest if q != p]
+            expected = hall_condition([domains[q] & ~blocked & ~(1 << cid) for q in others])
+            before = list(match)
+            o = owner[cid]
+            repaired = o == p or _augment(o, 1 << match[p], domains, blocked | 1 << cid, match, owner) >= 0
+            assert repaired == expected
+            if not repaired:
+                assert match == before
+                return
+            # the vertices assigned before keep their ids
+            assert all(match[q] == before[q] for q in range(k) if q not in rest)
+            match[p] = cid
+            owner[cid] = p
+            rest, blocked = others, blocked | 1 << cid
+            check_matching(domains, blocked, match, rest)
+
+    def test_ids_in_no_domain(self):
+        # four vertices whose domains leave id 3 out: no perfect matching
+        match, owner = [0] * 4, [0] * 4
+        assert not _match_rank(0, 4, [0b0111, 0b0011, 0b0101, 0b0110], match, owner)
+        assert not _match_rank(0, 2, [0b01, 0], match, owner)
 
 
 class TestCubulate:
@@ -177,6 +277,28 @@ class TestCubulate:
         out = cubulate(a3.element((2, 1, 3, 2)))
         assert out.status == EXHAUSTED
         assert out.stats["shapes_tried"] == 0
+
+    def test_h4_w0_is_exhausted(self):
+        # the one candidate shape of H4 w0, (2, 12, 20, 30), has no cubulation
+        out = cubulate(system("H4").longest_element())
+        assert out.status == EXHAUSTED
+        assert out.stats["nodes_expanded"] == 544_863
+
+    def test_checkpoint_is_bound_to_its_job(self, a3):
+        # 1 2 and its inverse 2 1 have the same candidate shape, (2, 2)
+        y = a3.element((1, 2))
+        out = cubulate(y, budget=1)
+        assert out.status == BUDGET_EXCEEDED
+        assert cubulate(y, checkpoint=out.checkpoint).status == FOUND
+        with pytest.raises(ValueError, match="checkpoint top"):
+            cubulate(a3.element((2, 1)), checkpoint=out.checkpoint)
+        with pytest.raises(ValueError, match="checkpoint system"):
+            cubulate(system("B3").element((1, 2)), checkpoint=out.checkpoint)
+        with pytest.raises(ValueError, match="checkpoint search_rules"):
+            cubulate(y, checkpoint=dict(out.checkpoint, search_rules=1))
+        unbound = {k: v for k, v in out.checkpoint.items() if k != "search_rules"}
+        with pytest.raises(ValueError, match="checkpoint lacks search_rules"):
+            cubulate(y, checkpoint=unbound)
 
     def test_budget_checkpoint_names_shape(self, b3):
         out = cubulate(b3.longest_element(), budget=5)

@@ -7,7 +7,7 @@ import pytest
 from bruhat_cubulator import serialize
 from bruhat_cubulator.bruhat import interval
 from bruhat_cubulator.kl import KLTable
-from bruhat_cubulator.search import cubulate, search, verify_certificate
+from bruhat_cubulator.search import SEARCH_RULES, cubulate, search, verify_certificate
 
 
 class TestStability:
@@ -117,15 +117,24 @@ class TestCheckpoints:
             {"min_id": -3},
             {"min_id": "1"},
             {"min_id": True},
+            {"system": None},
+            {"top": None},
+            {"search_rules": None},
+            {"search_rules": 1},
+            {"top": "3 2 1"},
         ],
         ids=[
             "schema", "kind", "no-shape", "no-path", "no-min_id", "shape-not-list",
             "path-not-list", "path-not-int", "path-negative", "shape-not-int",
             "min_id-negative", "min_id-not-int", "min_id-bool",
+            "no-system", "no-top", "no-search_rules", "old-search_rules", "top-not-list",
         ],
     )
     def test_rejects_malformed(self, change):
-        doc = serialize.checkpoint_doc({"shape": [2, 3, 4], "path": [0], "min_id": 1})
+        doc = serialize.checkpoint_doc({
+            "system": "A3", "top": [1, 2, 1, 3, 2, 1], "search_rules": SEARCH_RULES,
+            "shape": [2, 3, 4], "path": [0], "min_id": 1,
+        })
         for key, value in change.items():
             if value is None:
                 del doc[key]
