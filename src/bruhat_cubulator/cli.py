@@ -9,19 +9,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from itertools import accumulate
 from pathlib import Path
 
 from . import constructions as cx
-from . import growth, serialize, suites
+from . import growth, search, serialize, suites
 from .bruhat import interval
 from .coxeter import CoxeterSystem, Element, build_system
 from .kl import KLTable
-from .search import BUDGET_EXCEEDED, EXHAUSTED, FOUND, cubulate
 
-_EXIT = {FOUND: 0, EXHAUSTED: 1, BUDGET_EXCEEDED: 3}
+_EXIT = {search.FOUND: 0, search.EXHAUSTED: 1, search.BUDGET_EXCEEDED: 3}
 
 
 def parse_budget(text: str) -> int:
@@ -151,20 +151,41 @@ def _cmd_kl(args) -> int:
     return 0
 
 
+def _read_checkpoint(path: Path, iv) -> dict:
+    """The checkpoint in ``path``, bound to the search of ``iv``."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # a JSON or a UTF-8 decoding error
+        raise ValueError(f"checkpoint file {path} is not valid JSON: {exc}") from None
+    checkpoint = serialize.checkpoint_from_doc(doc)
+    # search binds it again; binding it here refuses another job's checkpoint
+    # before a search starts, since bench/tracing.py counts every search's nodes
+    search.bind(iv, checkpoint)
+    return checkpoint
+
+
+def _write_checkpoint(path: Path, checkpoint: dict):
+    """Write through a temp file beside ``path`` and rename it into place,
+    so that an interrupted write leaves the previous checkpoint whole."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_text(serialize.dumps(serialize.checkpoint_doc(checkpoint)), encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _cmd_cubulate(args) -> int:
     system = build_system(args.system)
-    y = _resolve_element(system, args)
-    checkpoint = None
-    if args.checkpoint and Path(args.checkpoint).exists():
-        doc = json.loads(Path(args.checkpoint).read_text(encoding="utf-8"))
-        checkpoint = serialize.checkpoint_from_doc(doc)
-    iv = interval(y)
-    outcome = cubulate(y, budget=args.budget, checkpoint=checkpoint, iv=iv)
+    iv = interval(_resolve_element(system, args))
+    path = Path(args.checkpoint) if args.checkpoint else None
+    checkpoint = _read_checkpoint(path, iv) if path and path.exists() else None
+    outcome = search.search(iv, budget=args.budget, checkpoint=checkpoint)
+    # the checkpoint first: a job whose checkpoint cannot be written prints nothing
+    if outcome.status == search.BUDGET_EXCEEDED and path:
+        _write_checkpoint(path, outcome.checkpoint)
     _emit(serialize.dumps(serialize.outcome_doc(iv, outcome)), args.out)
-    if outcome.status == BUDGET_EXCEEDED and args.checkpoint:
-        Path(args.checkpoint).write_text(
-            serialize.dumps(serialize.checkpoint_doc(outcome.checkpoint)), encoding="utf-8"
-        )
     return _EXIT[outcome.status]
 
 

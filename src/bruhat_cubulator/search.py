@@ -20,12 +20,12 @@ deterministic, makes a Found certificate the lexicographically least
 one, and lets a checkpoint consist of just the chosen-id path.  The
 symmetry rules (equal lattice parameters, diagram-automorphism orbits)
 keep that certificate; ``search`` gives the argument.  An element has at
-most one candidate shape, so ``cubulate`` is a single serial search.
+most one candidate shape, so ``search`` is a single serial search, and
+the one entry point: it binds a checkpoint to its job before replay.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from .bruhat import BruhatInterval, interval, poincare_polynomial
@@ -88,10 +88,38 @@ def _orbit_minima(iv: BruhatInterval) -> int:
     return mask
 
 
-def _job(iv: BruhatInterval) -> dict:
-    """What binds a checkpoint to its job: the system, the top element's
-    word and the pruning rules."""
-    return {"system": iv.system.descriptor, "top": list(iv.top.word), "search_rules": SEARCH_RULES}
+def bind(iv: BruhatInterval, checkpoint: dict | None = None) -> dict:
+    """The job of ``search(iv)``: the system, the top element's word, the
+    pruning rules and the candidate shape (None if there is none).  A
+    checkpoint must carry each of these fields with this job's value, or
+    ValueError names the first that is missing or differs.
+    """
+    shapes = candidate_shapes(iv)
+    job = {
+        "system": iv.system.descriptor,
+        "top": list(iv.top.word),
+        "search_rules": SEARCH_RULES,
+        "shape": list(shapes[0]) if shapes else None,
+    }
+    if checkpoint is not None:
+        for key, value in job.items():
+            if key not in checkpoint:
+                raise ValueError(f"checkpoint lacks {key}; it cannot be bound to this job")
+            if checkpoint[key] != value:
+                raise ValueError(
+                    f"checkpoint {key} {checkpoint[key]!r} differs from this job's {value!r}; "
+                    "the checkpoint belongs to another job or to other pruning rules"
+                )
+    return job
+
+
+def _stats(nodes: int, shapes: int, prunes_forward: int, prunes_matching: int) -> dict:
+    return {
+        "nodes_expanded": nodes,
+        "shapes_tried": shapes,
+        "prunes_forward": prunes_forward,
+        "prunes_matching": prunes_matching,
+    }
 
 
 def _augment(o: int, goal: int, domains, blocked: int, match, owner) -> int:
@@ -152,16 +180,17 @@ def _match_rank(lo: int, hi: int, domains, match, owner) -> bool:
 
 def search(
     iv: BruhatInterval,
-    shape,
     budget: int | None = None,
     checkpoint: dict | None = None,
 ) -> SearchOutcome:
-    """Exhaustive depth-first search for one candidate lattice shape.
+    """Exhaustive depth-first search of the candidate shape of [1, y].
 
-    The search returns the lexicographically least valid assignment L (in
-    search order, by id), or proves that none exists.  Four rules cut the
-    tree, and each holds for L, so none moves a Found certificate and an
-    Exhausted verdict stays sound:
+    An element has at most one candidate shape; with none, the outcome is
+    Exhausted with ``shapes_tried`` 0.  The search returns the
+    lexicographically least valid assignment L (in search order, by id),
+    or proves that none exists.  Four rules cut the tree, and each holds
+    for L, so none moves a Found certificate and an Exhausted verdict stays
+    sound:
 
     - forward checking: once the last predecessor of a lattice vertex is
       assigned, the vertex must keep a candidate, or the assignment is
@@ -184,19 +213,18 @@ def search(
 
     ``budget`` bounds the number of node expansions (assignments tried,
     those undone by a rule included); exceeding it returns BudgetExceeded
-    with a resumable checkpoint, bound to the interval and to
-    ``SEARCH_RULES``.  ``nodes_expanded`` counts this call's expansions
-    only.  A checkpoint replays its path, each entry a candidate at its
-    depth that passes the rules, and then its ``min_id``, a candidate at
-    the next depth; one that does not raises ValueError.
+    with a resumable checkpoint.  ``nodes_expanded`` counts this call's
+    expansions only.  A checkpoint is bound to this job (``bind``), then
+    replays its path, each entry a candidate at its depth that passes the
+    rules, and then its ``min_id``, a candidate at the next depth; one
+    that does not raises ValueError.
     """
     if budget is not None and budget <= 0:
         raise ValueError("budget must be positive")
-    shape = tuple(shape)
-    if sum(a - 1 for a in shape) != iv.top.length:
-        raise ValueError("shape degree sum must equal l(y)")
-    t0 = time.monotonic()
-    lattice = _shape_lattice(shape)
+    job = bind(iv, checkpoint)
+    if job["shape"] is None:
+        return SearchOutcome(EXHAUSTED, None, _stats(0, 0, 0, 0))
+    lattice = _shape_lattice(job["shape"])
     verts = lattice.vertices()
     nv = len(verts)
     vert_pos = {v: i for i, v in enumerate(verts)}
@@ -306,87 +334,36 @@ def search(
     else:
         masks[0] = candidates(0)
 
-    def stats(status):
-        return {
-            "nodes_expanded": expansions,
-            "shapes_tried": 1,
-            "wall_time": time.monotonic() - t0,
-            "budget_used": expansions,
-            "prunes_forward": prunes_forward,
-            "prunes_matching": prunes_matching,
-            "status": status,
-        }
-
+    status, cert, cp = EXHAUSTED, None, None
     while p >= 0:
         m = masks[p]
         if m:
             b = m & -m
             cid = b.bit_length() - 1
             if budget is not None and expansions >= budget:
-                cp = {**_job(iv), "shape": list(shape), "path": assigned[:p], "min_id": cid}
-                return SearchOutcome(BUDGET_EXCEEDED, None, stats(BUDGET_EXCEEDED), cp)
+                status, cp = BUDGET_EXCEEDED, {**job, "path": assigned[:p], "min_id": cid}
+                break
             masks[p] = m ^ b
             expansions += 1
             if not assign(p, cid):
                 continue
             if p + 1 == nv:
+                status = FOUND
                 cert = Cubulation(lattice, {v: assigned[i] for i, v in enumerate(verts)})
-                return SearchOutcome(FOUND, cert, stats(FOUND))
+                break
             p += 1
             masks[p] = candidates(p)
         else:
             p -= 1
             if p >= 0:
                 used &= ~(1 << assigned[p])
-    return SearchOutcome(EXHAUSTED, None, stats(EXHAUSTED))
+    stats = _stats(expansions, 1, prunes_forward, prunes_matching)
+    return SearchOutcome(status, cert, stats, cp)
 
 
-def cubulate(
-    y: Element,
-    budget: int | None = None,
-    checkpoint: dict | None = None,
-    iv: BruhatInterval | None = None,
-) -> SearchOutcome:
-    """Search the candidate shape of y, of which there is at most one.
-
-    Returns the search's outcome: Found, Exhausted when the shape's tree
-    was fully explored, or BudgetExceeded with a checkpoint naming the
-    shape.  With no candidate shape, Exhausted with ``shapes_tried`` 0.
-    A checkpoint must name this job's system and top element and the
-    current ``SEARCH_RULES``, or ValueError names the field that differs.
-    The search is serial.
-    """
-    t0 = time.monotonic()
-    if iv is None:
-        iv = interval(y)
-    if checkpoint is not None:
-        for key, value in _job(iv).items():
-            if key not in checkpoint:
-                raise ValueError(f"checkpoint lacks {key}; it cannot be bound to this job")
-            if checkpoint[key] != value:
-                raise ValueError(
-                    f"checkpoint {key} {checkpoint[key]!r} differs from this job's {value!r}; "
-                    "the checkpoint belongs to another job or to other pruning rules"
-                )
-    shapes = candidate_shapes(iv)
-    if checkpoint is not None and tuple(checkpoint["shape"]) not in shapes:
-        raise ValueError(
-            f"checkpoint shape {list(checkpoint['shape'])} is not a candidate shape "
-            f"of {y!r} (candidates: {[list(s) for s in shapes]}); "
-            "the checkpoint belongs to another job"
-        )
-    if not shapes:
-        stats = {
-            "nodes_expanded": 0,
-            "shapes_tried": 0,
-            "wall_time": time.monotonic() - t0,
-            "budget_used": 0,
-            "status": EXHAUSTED,
-        }
-        return SearchOutcome(EXHAUSTED, None, stats)
-    out = search(iv, shapes[0], budget=budget, checkpoint=checkpoint)
-    out.stats["wall_time"] = time.monotonic() - t0
-    return out
+def cubulate(y: Element, budget: int | None = None, checkpoint: dict | None = None) -> SearchOutcome:
+    """``search`` on [1, y]."""
+    return search(interval(y), budget=budget, checkpoint=checkpoint)
 
 
 def verify_certificate(iv: BruhatInterval, cert: Cubulation) -> bool:

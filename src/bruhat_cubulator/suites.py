@@ -72,9 +72,8 @@ def dihedral_r():
 
 def longest_element_found(tag, params):
     """The search cubulates w0 of ``tag`` by the lattice C(params)."""
-    y = build_system(tag).longest_element()
-    iv = interval(y)
-    out = search.cubulate(y, iv=iv)
+    iv = interval(build_system(tag).longest_element())
+    out = search.search(iv)
     assert out.status == search.FOUND, out.status
     assert out.certificate.lattice.canonical_form().params == params, (
         out.certificate.lattice.params
@@ -118,9 +117,8 @@ def atilde2_constructions():
 def atilde2_searches():
     system = build_system("Atilde2")
     for m in range(5):
-        y = cx.y_m(system, m)
-        iv = interval(y)
-        out = search.cubulate(y, iv=iv)
+        iv = interval(cx.y_m(system, m))
+        out = search.search(iv)
         assert out.status == search.FOUND, m
         assert search.verify_certificate(iv, out.certificate), m
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 
 import pytest
 
@@ -200,6 +201,73 @@ class TestCubulate:
         assert code2 == 2
         assert out2 == ""
         assert "search_rules" in err2
+
+    def test_checkpoint_of_older_search_rules_is_refused(self, capsys, tmp_path):
+        cp = tmp_path / "cp.json"
+        code, _, _ = run(
+            capsys,
+            "cubulate", "--system", "A3", "--word", "1 2", "--budget", "1", "--checkpoint", str(cp),
+        )
+        assert code == 3
+        doc = json.loads(cp.read_text())
+        doc["search_rules"] = 1
+        cp.write_text(json.dumps(doc))
+        code2, out2, err2 = run(
+            capsys, "cubulate", "--system", "A3", "--word", "1 2", "--checkpoint", str(cp)
+        )
+        assert code2 == 2
+        assert out2 == ""
+        assert err2.startswith("error: checkpoint search_rules 1")
+
+    def test_truncated_checkpoint_names_itself(self, capsys, tmp_path):
+        cp = tmp_path / "cp.json"
+        code, _, _ = run(
+            capsys,
+            "cubulate", "--system", "B3", "--element", "w0",
+            "--budget", "5", "--checkpoint", str(cp),
+        )
+        assert code == 3
+        cp.write_bytes(cp.read_bytes()[:60])
+        code2, out2, err2 = run(
+            capsys,
+            "cubulate", "--system", "B3", "--element", "w0", "--checkpoint", str(cp),
+        )
+        assert code2 == 2
+        assert out2 == ""
+        assert f"checkpoint file {cp} is not valid JSON" in err2
+
+    def test_unwritable_checkpoint_prints_nothing(self, capsys, tmp_path):
+        # the checkpoint is written before the outcome, so a job whose
+        # checkpoint is lost does not also print a complete document
+        cp = tmp_path / "missing" / "cp.json"
+        code, out, err = run(
+            capsys,
+            "cubulate", "--system", "B3", "--element", "w0",
+            "--budget", "5", "--checkpoint", str(cp),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_failed_checkpoint_write_keeps_the_old_one(self, capsys, tmp_path, monkeypatch):
+        cp = tmp_path / "cp.json"
+        argv = ("cubulate", "--system", "B3", "--element", "w0")
+        argv += ("--budget", "5", "--checkpoint", str(cp))
+        code, _, _ = run(capsys, *argv)
+        assert code == 3
+        before = cp.read_bytes()
+
+        def interrupted(src, dst):
+            raise OSError("interrupted")
+
+        # the resumed run stops 5 nodes later and replaces the checkpoint
+        monkeypatch.setattr(os, "replace", interrupted)
+        code2, out2, err2 = run(capsys, *argv)
+        assert code2 == 2
+        assert out2 == ""
+        assert "interrupted" in err2
+        assert cp.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["cp.json"]
 
     def test_checkpoint_min_id_out_of_range_is_refused(self, capsys, tmp_path):
         # B3 w0 has a cubulation; a checkpoint whose min_id skips every

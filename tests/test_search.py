@@ -26,6 +26,12 @@ import oracles
 from conftest import system
 
 
+def replay_at(iv, path, min_id) -> dict:
+    """A checkpoint of the search of ``iv`` that replays ``path`` and then
+    ``min_id``; its job fields come from a budget=1 run's checkpoint."""
+    return dict(search(iv, budget=1).checkpoint, path=path, min_id=min_id)
+
+
 class TestCandidateShapes:
     def test_a2(self, a2):
         assert candidate_shapes(interval(a2.longest_element())) == [(2, 3)]
@@ -50,25 +56,20 @@ class TestCandidateShapes:
 class TestSearch:
     def test_found_verifies(self, a3):
         iv = interval(a3.longest_element())
-        out = search(iv, (2, 3, 4))
+        out = search(iv)
         assert out.status == FOUND
         assert verify_certificate(iv, out.certificate)
         assert out.stats["nodes_expanded"] > 0
 
-    def test_wrong_degree_rejected(self, a3):
-        with pytest.raises(ValueError):
-            search(interval(a3.longest_element()), (2, 2))
-
     def test_budget_and_resume_reproduce_full_run(self, b3):
         iv = interval(b3.longest_element())
-        shape = candidate_shapes(iv)[0]
-        full = search(iv, shape)
+        full = search(iv)
         assert full.status == FOUND
         # walk the same tree in slices and confirm the identical certificate
-        out = search(iv, shape, budget=40)
+        out = search(iv, budget=40)
         used = out.stats["nodes_expanded"]
         while out.status == BUDGET_EXCEEDED:
-            out = search(iv, shape, budget=40, checkpoint=out.checkpoint)
+            out = search(iv, budget=40, checkpoint=out.checkpoint)
             used += out.stats["nodes_expanded"]
         assert out.status == FOUND
         assert out.certificate.assignment == full.certificate.assignment
@@ -76,44 +77,42 @@ class TestSearch:
 
     def test_budget_must_be_positive(self, a2):
         with pytest.raises(ValueError):
-            search(interval(a2.longest_element()), (2, 3), budget=0)
+            search(interval(a2.longest_element()), budget=0)
 
-    def test_checkpoint_replay_guard(self, a2, a3):
+    def test_checkpoint_replay_guard(self, a2):
         iv = interval(a2.longest_element())
-        out = search(iv, (2, 3), budget=3)
+        out = search(iv, budget=3)
         assert out.status == BUDGET_EXCEEDED
-        other = interval(a3.element((2, 1, 3, 2)))
-        with pytest.raises(ValueError):
-            search(other, (2, 3), checkpoint={"shape": [2, 3], "path": [99], "min_id": 0})
+        with pytest.raises(ValueError, match="does not replay"):
+            search(iv, checkpoint=dict(out.checkpoint, path=[99], min_id=0))
 
     def test_checkpoint_min_id_must_replay(self, b3):
         # min_id replays like one more path entry: it must be a candidate,
         # and there must be a depth left to hold it
         iv = interval(b3.longest_element())
-        shape = candidate_shapes(iv)[0]
-        out = search(iv, shape, budget=5)
+        out = search(iv, budget=5)
         assert out.status == BUDGET_EXCEEDED
-        full = search(iv, shape)
+        full = search(iv)
         complete = [full.certificate.assignment[v] for v in full.certificate.lattice.vertices()]
         for path, min_id in ((out.checkpoint["path"], 1000), (complete, 0)):
             with pytest.raises(ValueError, match="does not replay"):
-                search(iv, shape, checkpoint={"shape": list(shape), "path": path, "min_id": min_id})
+                search(iv, checkpoint=replay_at(iv, path, min_id))
 
     def test_checkpoint_id_past_the_interval_is_stale_unshifted(self, a2):
         # an id is checked against the interval before a mask is shifted by
         # it, so a small document cannot set the size of an allocation
         iv = interval(a2.longest_element())
-        cp = {"shape": [2, 3], "path": [0], "min_id": 10**8}
+        cp = replay_at(iv, [0], 10**8)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="does not replay"):
-                search(iv, (2, 3), checkpoint=cp)
+                search(iv, checkpoint=cp)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
         with pytest.raises(ValueError, match="does not replay"):
-            search(iv, (2, 3), checkpoint=dict(cp, path=[10**8], min_id=0))
+            search(iv, checkpoint=dict(cp, path=[10**8], min_id=0))
 
     @pytest.mark.parametrize(
         "tag,nodes",
@@ -133,64 +132,104 @@ class TestSearch:
         # e_1 must exceed that of e_2
         d4 = system("D4")
         iv = interval(d4.longest_element())
-        shape = candidate_shapes(iv)[0]
-        assert shape == (2, 4, 4, 6)
+        assert candidate_shapes(iv) == [(2, 4, 4, 6)]
         s1, s2, s3, s4 = (iv.index[d4.generator(a)] for a in (1, 2, 3, 4))
         # search positions 0-3: the origin, e_3, e_2, e_1
-        ok = {"shape": list(shape), "path": [0, s1, s3, s4], "min_id": s2}
-        assert search(iv, shape, budget=1, checkpoint=ok).status == BUDGET_EXCEEDED
+        ok = replay_at(iv, [0, s1, s3, s4], s2)
+        assert search(iv, budget=1, checkpoint=ok).status == BUDGET_EXCEEDED
         swapped = dict(ok, path=[0, s1, s4, s3])
         with pytest.raises(ValueError, match="does not replay"):
-            search(iv, shape, budget=1, checkpoint=swapped)
+            search(iv, budget=1, checkpoint=swapped)
 
     def test_position_one_takes_orbit_minima(self):
         # the diagram automorphism of F4 fixes w0 and swaps s1 <-> s4 and
         # s2 <-> s3, so the first rank-1 lattice vertex takes s1 or s2 only
         f4 = system("F4")
         iv = interval(f4.longest_element())
-        shape = candidate_shapes(iv)[0]
         ids = {a: iv.index[f4.generator(a)] for a in f4.labels}
         for a in f4.labels:
-            cp = {"shape": list(shape), "path": [0], "min_id": ids[a]}
+            cp = replay_at(iv, [0], ids[a])
             if a in (1, 2):
-                assert search(iv, shape, budget=1, checkpoint=cp).status == BUDGET_EXCEEDED
+                assert search(iv, budget=1, checkpoint=cp).status == BUDGET_EXCEEDED
             else:
                 with pytest.raises(ValueError, match="does not replay"):
-                    search(iv, shape, budget=1, checkpoint=cp)
+                    search(iv, budget=1, checkpoint=cp)
 
     def test_forward_prunes_are_counted_apart(self, b3):
         iv = interval(b3.longest_element())
-        out = search(iv, candidate_shapes(iv)[0])
+        out = search(iv)
         assert 0 < out.stats["prunes_forward"] < out.stats["nodes_expanded"]
         assert "prunes_forward" not in serialize.outcome_doc(iv, out)["stats"]
 
     def test_matching_prunes_are_counted_apart(self, b3):
         iv = interval(b3.longest_element())
-        out = search(iv, candidate_shapes(iv)[0])
+        out = search(iv)
         assert 0 < out.stats["prunes_matching"] < out.stats["nodes_expanded"]
         assert "prunes_matching" not in serialize.outcome_doc(iv, out)["stats"]
 
     def test_f4_budget_and_resume_sum_to_the_full_count(self):
         f4 = system("F4")
         iv = interval(f4.longest_element())
-        shape = candidate_shapes(iv)[0]
-        first = search(iv, shape, budget=20_000)
+        first = search(iv, budget=20_000)
         assert first.status == BUDGET_EXCEEDED
-        rest = search(iv, shape, checkpoint=first.checkpoint)
+        rest = search(iv, checkpoint=first.checkpoint)
         assert rest.status == EXHAUSTED
         assert first.stats["nodes_expanded"] + rest.stats["nodes_expanded"] == 56_049
 
     def test_b4_budget_and_resume_reproduce_the_full_run(self):
         iv = interval(system("B4").longest_element())
-        shape = candidate_shapes(iv)[0]
-        full = search(iv, shape)
+        full = search(iv)
         assert full.stats["nodes_expanded"] == 29_904
-        first = search(iv, shape, budget=10_000)
+        first = search(iv, budget=10_000)
         assert first.status == BUDGET_EXCEEDED
-        rest = search(iv, shape, checkpoint=first.checkpoint)
+        rest = search(iv, checkpoint=first.checkpoint)
         assert rest.status == FOUND
         assert rest.certificate.assignment == full.certificate.assignment
         assert first.stats["nodes_expanded"] + rest.stats["nodes_expanded"] == 29_904
+
+
+class TestCheckpointBinding:
+    """``search`` binds a checkpoint to its job before replaying it, so every
+    caller (``cubulate``, the CLI, the suites) refuses another job's."""
+
+    @pytest.fixture
+    def cp(self, a3):
+        # 1 2 and its inverse 2 1 have the same candidate shape, (2, 2)
+        out = search(interval(a3.element((1, 2))), budget=1)
+        assert out.status == BUDGET_EXCEEDED
+        return out.checkpoint
+
+    def test_own_job_resumes(self, a3, cp):
+        assert search(interval(a3.element((1, 2))), checkpoint=cp).status == FOUND
+
+    def test_inverse_is_refused(self, a3, cp):
+        with pytest.raises(ValueError, match="checkpoint top"):
+            search(interval(a3.element((2, 1))), checkpoint=cp)
+
+    def test_other_shape_is_refused(self, a3, cp):
+        with pytest.raises(ValueError, match="checkpoint shape"):
+            search(interval(a3.element((1, 2))), checkpoint=dict(cp, shape=[2, 3]))
+
+    def test_other_system_is_refused(self, cp):
+        with pytest.raises(ValueError, match="checkpoint system"):
+            search(interval(system("B3").element((1, 2))), checkpoint=cp)
+
+    def test_other_search_rules_are_refused(self, a3, cp):
+        with pytest.raises(ValueError, match="checkpoint search_rules"):
+            search(interval(a3.element((1, 2))), checkpoint=dict(cp, search_rules=1))
+
+    @pytest.mark.parametrize("field", ["system", "top", "search_rules", "shape"])
+    def test_missing_job_field_is_refused(self, a3, cp, field):
+        unbound = {k: v for k, v in cp.items() if k != field}
+        with pytest.raises(ValueError, match=f"checkpoint lacks {field}"):
+            search(interval(a3.element((1, 2))), checkpoint=unbound)
+
+    def test_shapeless_job_refuses_a_checkpoint(self, a3):
+        # 2 1 3 2 has no candidate shape; a checkpoint naming one is not its own
+        iv = interval(a3.element((2, 1, 3, 2)))
+        cp = dict(replay_at(interval(a3.element((1, 2))), [0], 1), top=[2, 1, 3, 2])
+        with pytest.raises(ValueError, match="checkpoint shape"):
+            search(iv, checkpoint=cp)
 
 
 def hall_condition(domains) -> bool:
@@ -311,7 +350,7 @@ class TestCubulate:
 class TestVerifier:
     def _found(self, sys):
         iv = interval(sys.longest_element())
-        out = cubulate(sys.longest_element(), iv=iv)
+        out = search(iv)
         return iv, out.certificate
 
     def test_accepts_good_certificate(self, a3):
