@@ -1,14 +1,18 @@
 """R-polynomials and Kazhdan-Lusztig polynomials over lower intervals.
 
-R-polynomials follow the left-descent recursion on interval ids and are
-memoized per table.  P-polynomials are recovered from the defining identity
+R-polynomials follow the left-descent recursion on interval ids, on
+demand, and are memoized per table.  P-polynomials are computed one column
+P_{-,y} at a time, x in descending id order, from the defining identity
 
-    q^(l(y)-l(x)) P_xy(1/q) = sum_{w in [x,y]} R_xw P_wy
+    q^(l(y)-l(x)) P_xy(1/q) - P_xy(q) = sum_{x < w <= y} R_xw P_wy
 
-by reading the high half of the right-hand sum (the degree bound keeps the
-two supports disjoint); every recovered polynomial is checked against the
-identity exactly, for non-negative coefficients, and for the degree bound,
-and any violation raises, since it can only mean an implementation bug.
+with the w read off the interval's bitsets, by reading the high half of
+the right-hand sum (the degree bound keeps the two supports disjoint, and
+holds by construction).  Every recovered polynomial is checked for a top
+coefficient 1 at degree l(y)-l(x), against the whole identity exactly,
+and for non-negative coefficients, and any violation raises, since it can
+only mean an implementation bug.  The arithmetic runs on coefficient
+tuples; IntPoly objects are made only for the caller.
 """
 
 from __future__ import annotations
@@ -21,9 +25,6 @@ from .bruhat import BruhatInterval, interval, poincare_polynomial
 from .coxeter import Element
 from .polynomials import IntPoly, ONE, ZERO, is_palindromic
 
-_Q = IntPoly((0, 1))
-_QM1 = IntPoly((-1, 1))
-
 
 class KLConsistencyError(RuntimeError):
     """A computed table violates one of its defining identities."""
@@ -31,95 +32,165 @@ class KLConsistencyError(RuntimeError):
 
 def r_polynomial(x: Element, y: Element) -> IntPoly:
     """The R-polynomial R_{x,y}; zero unless x <= y."""
-    if x.system is not y.system:
-        raise ValueError("elements from a different system")
-    iv = interval(y)
-    x_id = iv.index.get(x)
-    if x_id is None:
+    if not x.system.bruhat_leq(x, y):
         return ZERO
-    return KLTable(iv).R(x_id, len(iv) - 1)
+    iv = interval(y)
+    return KLTable(iv).R(iv.index[x], len(iv) - 1)
 
 
 class KLTable:
-    """P- and R-polynomial lookup over one interval [1, y]."""
+    """P- and R-polynomial lookup over one interval [1, y].
+
+    Both are memoized as coefficient tuples; an IntPoly is made only where
+    ``P``, ``R`` and ``top_column`` return.
+    """
 
     def __init__(self, iv: BruhatInterval):
         self.interval = iv
-        self._p: dict[tuple[int, int], IntPoly] = {}
-        self._r: dict[tuple[int, int], IntPoly] = {}
+        # R_{x,w} at _r[x][w] for x < w, and P_{x,y'} at _columns[y'][x]
+        self._r: list[dict[int, tuple]] = [{} for _ in range(len(iv))]
+        self._columns: dict[int, list] = {}
+        self._above: list[int] | None = None
+
+    def _check_ids(self, *ids: int):
+        n = len(self.interval)
+        for i in ids:
+            if not 0 <= i < n:
+                raise ValueError(f"vertex id {i} is not in the interval's ids 0..{n - 1}")
 
     def R(self, x_id: int, y_id: int) -> IntPoly:
-        """The R-polynomial R_{x,y'} for interval vertices.
+        """The R-polynomial R_{x,y'} for interval vertices."""
+        self._check_ids(x_id, y_id)
+        if not self.interval.leq_ids(x_id, y_id):
+            return ZERO
+        return IntPoly(self._r_coeffs(x_id, y_id))
+
+    def _r_coeffs(self, x_id: int, y_id: int) -> tuple:
+        """R_{x,y'} for x <= y', by the left-descent recursion.
 
         With s the smallest left descent of y', R_{x,y'} = R_{sx,sy'} when
         s is a left descent of x, else q R_{sx,sy'} + (q-1) R_{x,sy'}.  For
         x <= y' both sx and sy' lie in [1, y'] (the lifting property), and
-        s*y' is the build's ``below`` entry.
+        s*y' is the build's ``below`` entry; sx <= sy' in the first case
+        and x <= sy' in the second, again by lifting.
         """
         if x_id == y_id:
-            return ONE
-        iv = self.interval
-        if not iv.leq_ids(x_id, y_id):
-            return ZERO
-        key = (x_id, y_id)
-        res = self._r.get(key)
+            return (1,)
+        res = self._r[x_id].get(y_id)
         if res is None:
+            iv = self.interval
             s, sy = iv.letter[y_id], iv.below[y_id]
             sx = iv.key_ids[iv.system._left(s, iv.vertices[x_id].key)]
             if iv.lengths[sx] < iv.lengths[x_id]:
-                res = self.R(sx, sy)
+                res = self._r_coeffs(sx, sy)
             else:
-                res = _Q * self.R(sx, sy) + _QM1 * self.R(x_id, sy)
-            self._r[key] = res
+                b = self._r_coeffs(x_id, sy)
+                out = [0, *b]
+                if iv.below_masks[sy] >> sx & 1:
+                    for i, c in enumerate(self._r_coeffs(sx, sy), 1):
+                        out[i] += c
+                for i, c in enumerate(b):
+                    out[i] -= c
+                res = tuple(out)
+            self._r[x_id][y_id] = res
         return res
 
     def P(self, x_id: int, y_id: int) -> IntPoly:
         """The Kazhdan-Lusztig polynomial P_{x,y'} for interval vertices."""
+        self._check_ids(x_id, y_id)
         if x_id == y_id:
             return ONE
-        iv = self.interval
-        if not iv.leq_ids(x_id, y_id):
+        if not self.interval.leq_ids(x_id, y_id):
             return ZERO
-        key = (x_id, y_id)
-        res = self._p.get(key)
-        if res is None:
-            res = self._compute(x_id, y_id)
-            self._p[key] = res
-        return res
+        return IntPoly(self._column(y_id)[x_id])
 
-    def _compute(self, x_id: int, y_id: int) -> IntPoly:
+    def _column(self, y_id: int) -> list:
+        """P_{x,y'} for every x <= y' (None elsewhere), indexed by x.
+
+        x runs down the ids, so every w in (x, y'] is done before x; the
+        R-sum runs over those w only, read off the masks.
+        """
+        col = self._columns.get(y_id)
+        if col is not None:
+            return col
         iv = self.interval
-        d = iv.lengths[y_id] - iv.lengths[x_id]
-        total = ZERO
-        mask = iv.below_masks[y_id] & ~(1 << x_id)
-        w_id = 0
-        while mask:
-            low = mask & -mask
-            w_id = low.bit_length() - 1
-            mask ^= low
-            if iv.leq_ids(x_id, w_id):
-                total = total + self.R(x_id, w_id) * self.P(w_id, y_id)
-        c = total.coeffs + (0,) * (d + 1 - len(total.coeffs))
-        if len(c) != d + 1 or c[d] != 1:
-            raise KLConsistencyError(
-                f"bad top coefficient recovering P at ids ({x_id},{y_id})"
-            )
-        p = IntPoly(c[d - i] for i in range((d - 1) // 2 + 1))
-        mirror_coeffs = [0] * (d + 1)
-        for i, a in enumerate(p.coeffs):
-            mirror_coeffs[d - i] = a
-        if IntPoly(mirror_coeffs) - p != total:
-            raise KLConsistencyError(
-                f"defining identity fails at ids ({x_id},{y_id})"
-            )
-        if any(a < 0 for a in p.coeffs):
-            raise KLConsistencyError(f"negative coefficient in P at ({x_id},{y_id})")
-        return p
+        if self._above is None:
+            # hasse edges are sorted by source, so one descending pass suffices
+            above = [1 << i for i in range(len(iv))]
+            for u, v in reversed(iv.hasse_edges):
+                above[u] |= above[v]
+            self._above = above
+        above, lengths, r_rows = self._above, iv.lengths, self._r
+        below = iv.below_masks[y_id]
+        col = [None] * (y_id + 1)
+        col[y_id] = (1,)
+        # the ids done so far, grouped by their P_{w,y'}: the R_{x,w} of one
+        # group are summed first and multiplied by their P once
+        groups = {(1,): 1 << y_id}
+        rest = below ^ (1 << y_id)
+        while rest:
+            x_id = rest.bit_length() - 1
+            rest ^= 1 << x_id
+            d = lengths[y_id] - lengths[x_id]
+            total = [0] * (d + 1)
+            row, up = r_rows[x_id], above[x_id]
+            # R_{x,w} has l(w)-l(x)+1 coefficients and P_{w,y'} degree at
+            # most (l(y')-l(w)-1)/2, so no term reaches past degree d
+            for p, members in groups.items():
+                ws = members & up
+                if not ws:
+                    continue
+                acc = total if len(p) == 1 else [0] * (d + 1)
+                while ws:
+                    low = ws & -ws
+                    w_id = low.bit_length() - 1
+                    ws ^= low
+                    for i, a in enumerate(row.get(w_id) or self._r_coeffs(x_id, w_id)):
+                        acc[i] += a
+                if acc is not total:
+                    while acc and not acc[-1]:
+                        acc.pop()
+                    for j, b in enumerate(p):
+                        if b:
+                            for i, a in enumerate(acc, j):
+                                total[i] += a * b
+            p = col[x_id] = _recover(total, d, x_id, y_id)
+            groups[p] = groups.get(p, 0) | 1 << x_id
+        self._columns[y_id] = col
+        return col
 
     def top_column(self) -> list[IntPoly]:
         """P_{x,y} for every x in the interval, with y the interval top."""
-        top = len(self.interval.vertices) - 1
-        return [self.P(i, top) for i in range(len(self.interval.vertices))]
+        return [IntPoly(p) for p in self._column(len(self.interval) - 1)]
+
+
+def _recover(total: list, d: int, x_id: int, y_id: int) -> tuple:
+    """P_{x,y'} from total = sum_{x < w <= y'} R_{x,w} P_{w,y'}, checked.
+
+    The degree bound deg P <= (d-1)/2 keeps q^d P(1/q) and P(q) apart, so
+    P is the high half of the sum read backwards; the whole identity is
+    then checked, with P's non-negativity.
+    """
+    while total and not total[-1]:
+        total.pop()
+    if len(total) != d + 1 or total[d] != 1:
+        raise KLConsistencyError(
+            f"bad top coefficient recovering P at ids ({x_id},{y_id})"
+        )
+    p = [total[d - i] for i in range((d - 1) // 2 + 1)]
+    while not p[-1]:
+        p.pop()
+    expected = [0] * (d + 1)
+    for i, a in enumerate(p):
+        expected[d - i] += a
+        expected[i] -= a
+    if expected != total:
+        raise KLConsistencyError(
+            f"defining identity fails at ids ({x_id},{y_id})"
+        )
+    if any(a < 0 for a in p):
+        raise KLConsistencyError(f"negative coefficient in P at ({x_id},{y_id})")
+    return tuple(p)
 
 
 def kl_table(y: Element) -> KLTable:

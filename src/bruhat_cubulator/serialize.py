@@ -74,18 +74,19 @@ def report_doc(report: CPReport) -> dict:
 def kl_doc(table: KLTable) -> dict:
     iv = table.interval
     pairs = []
-    n = len(iv.vertices)
-    for y_id in range(n):
-        for x_id in range(n):
-            if iv.leq_ids(x_id, y_id):
-                pairs.append(
-                    {
-                        "x": x_id,
-                        "y": y_id,
-                        "P": list(table.P(x_id, y_id).coeffs),
-                        "R": list(table.R(x_id, y_id).coeffs),
-                    }
-                )
+    for y_id, below in enumerate(iv.below_masks):
+        while below:
+            low = below & -below
+            x_id = low.bit_length() - 1
+            below ^= low
+            pairs.append(
+                {
+                    "x": x_id,
+                    "y": y_id,
+                    "P": list(table.P(x_id, y_id).coeffs),
+                    "R": list(table.R(x_id, y_id).coeffs),
+                }
+            )
     return {
         "schema": SCHEMA,
         "kind": "kl-table",

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the optimized code paths: Bruhat
 membership via subwords, search without bitsets or symmetry breaking,
-Kazhdan-Lusztig polynomials via an exact linear solve, quantum
+Kazhdan-Lusztig polynomials via an exact linear solve and via the plain
+lazy R-sum on IntPoly, quantum
 factorizations by trial division and by trying every multiset of factors,
 and Bott's product formula by long division of one polynomial by another.
 """
@@ -165,6 +166,64 @@ def bott_by_long_division(system: CoxeterSystem, order: int) -> SeriesTruncation
     if any(c.denominator != 1 for c in out):
         raise ValueError("series has non-integer coefficients")
     return SeriesTruncation([int(c) for c in out], order)
+
+
+class RSumKLTable:
+    """R and P over an interval by the plain R-sum, lazily and on IntPoly.
+
+    R follows the left-descent recursion pair by pair.  P_{x,y'} is the high
+    half of the sum of R_{x,w} P_{w,y'} over every w <= y' that passes
+    ``leq_ids(x, w)``, each P_{w,y'} recovered the same way on demand, and
+    must satisfy q^d P(1/q) - P(q) = that sum.
+    """
+
+    def __init__(self, iv: BruhatInterval):
+        self.interval = iv
+        self._p: dict[tuple[int, int], IntPoly] = {}
+        self._r: dict[tuple[int, int], IntPoly] = {}
+
+    def R(self, x_id: int, y_id: int) -> IntPoly:
+        if x_id == y_id:
+            return ONE
+        iv = self.interval
+        if not iv.leq_ids(x_id, y_id):
+            return IntPoly()
+        key = (x_id, y_id)
+        if key not in self._r:
+            s, sy = iv.letter[y_id], iv.below[y_id]
+            sx = iv.key_ids[iv.system._left(s, iv.vertices[x_id].key)]
+            if iv.lengths[sx] < iv.lengths[x_id]:
+                self._r[key] = self.R(sx, sy)
+            else:
+                self._r[key] = IntPoly((0, 1)) * self.R(sx, sy) + IntPoly((-1, 1)) * self.R(x_id, sy)
+        return self._r[key]
+
+    def P(self, x_id: int, y_id: int) -> IntPoly:
+        if x_id == y_id:
+            return ONE
+        iv = self.interval
+        if not iv.leq_ids(x_id, y_id):
+            return IntPoly()
+        key = (x_id, y_id)
+        if key not in self._p:
+            total = IntPoly()
+            mask = iv.below_masks[y_id] & ~(1 << x_id)
+            while mask:
+                w_id = (mask & -mask).bit_length() - 1
+                mask &= mask - 1
+                if iv.leq_ids(x_id, w_id):
+                    total = total + self.R(x_id, w_id) * self.P(w_id, y_id)
+            d = iv.lengths[y_id] - iv.lengths[x_id]
+            c = total.coeffs + (0,) * (d + 1 - len(total.coeffs))
+            p = IntPoly(c[d - i] for i in range((d - 1) // 2 + 1))
+            mirror = [0] * (d + 1)
+            for i, a in enumerate(p.coeffs):
+                mirror[d - i] = a
+            if IntPoly(mirror) - p != total:
+                raise ValueError(f"defining identity fails at ids ({x_id},{y_id})")
+            self._p[key] = p
+        return self._p[key]
+
 
 def kl_by_linear_solve(iv: BruhatInterval) -> list[IntPoly]:
     """P_{x,y} for y the interval top, via exact Gaussian elimination.

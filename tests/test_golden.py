@@ -36,6 +36,12 @@ GOLDEN = [
         "3641c145ed5ee599c2d5b0ed99f7be39d7ba5cf5a764241070da4c28ab7ca165",
     ),
     (
+        # P coefficients up to 4
+        ("kl", "--system", "D4", "--element", "w0"),
+        0,
+        "5a6411a0ccdcdc6999c7e112f3b6353540153c2f71f02c49df7f06e7be343822",
+    ),
+    (
         ("cubulate", "--system", "B3", "--element", "w0"),
         0,
         "a5351eff7aaf832968365d51e78065b450d585e4364a5caf31c27ab7ea3c9677",

@@ -8,6 +8,7 @@ import pytest
 from bruhat_cubulator.bruhat import interval
 from bruhat_cubulator.constructions import y_m
 from bruhat_cubulator.kl import (
+    KLConsistencyError,
     KLTable,
     all_trivial,
     carrell_peterson_report,
@@ -137,15 +138,70 @@ class TestKLPolynomials:
             assert all(c >= 0 for c in p.coeffs)
             assert p(0) == 1
 
-    def test_table_interior_pairs(self, a3):
-        table = kl_table(a3.element((2, 1, 3, 2)))
-        iv = table.interval
-        for y_id in range(len(iv.vertices)):
-            sub = kl_table(iv.vertices[y_id])
-            for x_id in range(y_id + 1):
-                if iv.leq_ids(x_id, y_id):
-                    x = iv.vertices[x_id]
-                    assert table.P(x_id, y_id) == sub.P(sub.interval.index[x], len(sub.interval) - 1)
+    def test_table_interior_pairs(self):
+        # every column P_{-,y'} of the table against the top column of a
+        # table built on [1, y'] itself
+        for tag, word in (("A3", (2, 1, 3, 2)), ("B3", None), ("H3", (1, 2, 1, 2, 1, 3, 2, 1, 2, 1))):
+            sys = system(tag)
+            table = kl_table(sys.longest_element() if word is None else sys.element(word))
+            iv = table.interval
+            for y_id in range(len(iv.vertices)):
+                sub = kl_table(iv.vertices[y_id])
+                for x_id in range(y_id + 1):
+                    if iv.leq_ids(x_id, y_id):
+                        x = iv.vertices[x_id]
+                        assert table.P(x_id, y_id) == sub.P(sub.interval.index[x], len(sub.interval) - 1)
+
+
+class TestKLTable:
+    @pytest.mark.parametrize(
+        "tag,name",
+        [("A4", "w0"), ("B3", "w0"), ("H3", "1 2 1 2 1 3 2 1 2 1"), ("Atilde2", "y_m:3")],
+    )
+    def test_matches_lazy_r_sum(self, tag, name):
+        sys = system(tag)
+        if name == "w0":
+            y = sys.longest_element()
+        elif name == "y_m:3":
+            y = y_m(sys, 3)
+        else:
+            y = sys.element(int(a) for a in name.split())
+        iv = interval(y)
+        table, reference = KLTable(iv), oracles.RSumKLTable(iv)
+        for y_id in range(len(iv)):
+            for x_id in range(len(iv)):
+                assert table.P(x_id, y_id) == reference.P(x_id, y_id), (x_id, y_id)
+                assert table.R(x_id, y_id) == reference.R(x_id, y_id), (x_id, y_id)
+
+    @pytest.mark.parametrize("ids", [(0, -1), (-1, 0), (0, 24), (24, 23), (100, 0)])
+    def test_ids_outside_the_interval(self, a3, ids):
+        table = KLTable(interval(a3.longest_element()))
+        bad = next(i for i in ids if not 0 <= i < 24)
+        for lookup in (table.P, table.R):
+            with pytest.raises(ValueError, match=rf"vertex id {bad} "):
+                lookup(*ids)
+
+    @pytest.mark.parametrize(
+        "shift,message",
+        [
+            # the constant term: P is read off the high half, the low half disagrees
+            ((1,), "defining identity fails"),
+            # q - q^2 twice over makes the high half read P = 1 - 2q, which
+            # satisfies the identity
+            ((0, 2, -2), "negative coefficient in P"),
+            ((0, 0, 0, 1), "bad top coefficient"),
+        ],
+    )
+    def test_checks_fire_on_a_corrupted_r(self, a3, shift, message):
+        # P_{e,y} = 1 for every y of length 3 in A3, and R_{e,y} is the
+        # w = y term of the sum that recovers it
+        table = KLTable(interval(a3.longest_element()))
+        y_id = table.interval.lengths.index(3)
+        r = table.R(0, y_id)
+        assert r.degree == 3
+        table._r[0][y_id] = (r + IntPoly(shift)).coeffs
+        with pytest.raises(KLConsistencyError, match=rf"{message}.* \(0,{y_id}\)"):
+            table.P(0, y_id)
 
 
 class TestTriviality:
