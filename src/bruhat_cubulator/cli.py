@@ -130,8 +130,18 @@ def _resolve_element(system: CoxeterSystem, args) -> Element:
 def _emit(text: str, out: str | None):
     if out:
         Path(out).write_text(text, encoding="utf-8")
-    else:
+        return
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:  # a text-only stream, such as a StringIO
         sys.stdout.write(text)
+        return
+    # under PYTHONUNBUFFERED the buffer is the raw file: its write may take
+    # only part of the bytes, and the text layer ignores how many it took
+    sys.stdout.flush()
+    data = memoryview(text.encode("utf-8"))
+    while data:
+        data = data[buffer.write(data) :]
+    buffer.flush()
 
 
 def _cmd_interval(args) -> int:

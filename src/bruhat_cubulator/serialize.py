@@ -4,11 +4,28 @@ Documents carry a top-level ``schema`` key.  Words are arrays of integer
 generator labels, never digit strings.  A serialized search outcome
 carries its status and node counts, so identical jobs produce
 byte-identical output.
+
+``dumps(doc)`` equals ``json.dumps(doc, sort_keys=True, indent=2) + "\n"``
+byte for byte on every input; that standard-library call stays the test
+oracle.  With an ``indent`` the standard library encodes in pure Python and
+lists every token before it joins them, so ``dumps`` encodes a list one
+column at a time instead:
+- a list of ints or of strs in one C-speed ``map``;
+- a list of lists of ints (words, pairs) in one ``join`` per list;
+- a list of records (dicts with one shared set of str keys) one key's
+  column at a time, the rows filled in through one ``%`` template.
+Any other value takes a per-node path, and a scalar that path does not
+know (a float, say) gets the standard library's own text.  A document the
+encoder cannot encode goes whole to the standard library, so that the
+errors stay the standard library's.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .bruhat import BruhatInterval
 # bench/tracing.py wraps interval and carrell_peterson_report by these names
@@ -22,7 +39,95 @@ _CHECKPOINT_FIELDS = ("system", "top", "search_rules", "shape", "path", "min_id"
 
 
 def dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    try:
+        return _value(doc, 0) + "\n"
+    except (TypeError, ValueError, RecursionError):
+        # the standard library raises its own error for the first fault in
+        # document order (the columns may meet another one first), names a
+        # circular document, and encodes one nested deeper than this
+        # encoder's recursion reaches
+        return _stdlib(doc) + "\n"
+
+
+def _stdlib(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+def _value(value, level: int) -> str:
+    """The text of ``value`` at nesting ``level``, in the standard library's order of tests."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        opening, closing, texts = "[", "]", _column(value, level + 1)
+    elif isinstance(value, dict):
+        if not value:
+            return "{}"
+        opening, closing = "{", "}"
+        texts = [f"{_key(k)}: {_value(v, level + 1)}" for k, v in sorted(value.items())]
+    else:  # a float, or a value the standard library refuses
+        return _stdlib(value)
+    # the brackets join the first and last texts, so the text is copied once
+    inner = "\n" + "  " * (level + 1)
+    texts[0] = opening + inner + texts[0]
+    texts[-1] += "\n" + "  " * level + closing
+    return ("," + inner).join(texts)
+
+
+def _key(key) -> str:
+    """A dict key's text, coerced to a string as the standard library does."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:  # a bool is an int
+        return encode_basestring_ascii(_stdlib(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _column(items, level: int) -> list[str]:
+    """The text of each of ``items``, all at nesting ``level``."""
+    kinds = set(map(type, items))
+    if kinds == {int}:
+        return list(map(int.__repr__, items))
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, items))
+    if kinds == {list} and set(map(type, chain.from_iterable(items))) == {int}:
+        # words and pairs: one join per list, and no str per int outlives it
+        inner = "\n" + "  " * (level + 1)
+        head, sep, tail = "[" + inner, "," + inner, "\n" + "  " * level + "]"
+        return [head + sep.join(map(int.__repr__, item)) + tail if item else "[]" for item in items]
+    if kinds == {dict}:
+        shapes = set(map(tuple, items))
+        if len(shapes) == 1:
+            (keys,) = shapes
+            if keys and set(map(type, keys)) == {str}:
+                return _records(items, sorted(keys), level)
+    return [_value(item, level) for item in items]
+
+
+def _records(items, keys: list[str], level: int) -> list[str]:
+    """The text of each dict of ``items``, all with the str ``keys``, one column per key."""
+    fields, columns = [], []
+    for key in keys:
+        values = list(map(itemgetter(key), items))
+        if set(map(type, values)) == {int}:
+            # "%d" formats an int as int.__repr__ does, with no str per cell
+            fields.append(_key(key).replace("%", "%%") + ": %d")
+            columns.append(values)
+        else:
+            fields.append(_key(key).replace("%", "%%") + ": %s")
+            columns.append(_column(values, level + 1))
+    inner = "\n" + "  " * (level + 1)
+    template = "{" + inner + ("," + inner).join(fields) + "\n" + "  " * level + "}"
+    return list(map(template.__mod__, zip(*columns)))
 
 
 def interval_doc(iv: BruhatInterval) -> dict:

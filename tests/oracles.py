@@ -5,11 +5,13 @@ membership via subwords, search without bitsets or symmetry breaking,
 Kazhdan-Lusztig polynomials via an exact linear solve and via the plain
 lazy R-sum on IntPoly, quantum
 factorizations by trial division and by trying every multiset of factors,
-and Bott's product formula by long division of one polynomial by another.
+Bott's product formula by long division of one polynomial by another, and
+JSON text by the standard library's own encoder.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -345,3 +347,8 @@ def multiplication_table(system: CoxeterSystem) -> dict:
         for b in elements:
             table[(a, b)] = by_matrix[matrix_product(system, matrix[a], matrix[b], products)]
     return table
+
+
+def stdlib_dumps(doc) -> str:
+    """The standard library's text of ``doc``, which ``serialize.dumps`` must equal."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

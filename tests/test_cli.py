@@ -1,15 +1,21 @@
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import bruhat_cubulator
 from bruhat_cubulator import suites
 from bruhat_cubulator.cli import main, parse_budget
 from bruhat_cubulator.coxeter import build_system
 from bruhat_cubulator.search import SEARCH_RULES
+
+from oracles import stdlib_dumps
 
 
 def run(capsys, *argv):
@@ -82,16 +88,63 @@ class TestInterval:
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "iv.json"
-        code, out, _ = run(
-            capsys, "interval", "--system", "A2", "--element", "w0", "--out", str(target)
-        )
+        argv = ("interval", "--system", "A3", "--element", "w0")
+        code, out, _ = run(capsys, *argv, "--out", str(target))
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["kind"] == "interval"
+        # the file holds the bytes the same job prints
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert target.read_bytes() == out.encode("utf-8")
 
     def test_named_family_element(self, capsys):
         code, out, _ = run(capsys, "interval", "--system", "Atilde2", "--element", "y_m:1")
         assert code == 0
         assert len(json.loads(out)["vertices"]) == 18
+
+
+class _ShortWriter(io.RawIOBase):
+    """A raw stream that takes at most 4,096 bytes per write, as a pipe may."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        n = min(len(b), 4096)
+        self.data += bytes(b[:n])
+        return n
+
+
+class TestStdout:
+    ARGV = ("interval", "--system", "A4", "--element", "w0")
+
+    def test_short_writes_deliver_the_whole_document(self, capsys, monkeypatch):
+        # under PYTHONUNBUFFERED stdout's buffer is the raw file
+        raw = _ShortWriter()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+        code = main(list(self.ARGV))
+        monkeypatch.undo()
+        expected = run(capsys, *self.ARGV)[1].encode("utf-8")
+        assert code == 0
+        assert len(expected) > 4096
+        assert bytes(raw.data) == expected
+
+    def test_reader_that_closes_early_exits_2(self):
+        src = os.path.dirname(os.path.dirname(bruhat_cubulator.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED="1")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bruhat_cubulator.cli", *self.ARGV],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env=env,
+        )
+        proc.stdout.read(10)
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 2
 
 
 class TestKL:
@@ -142,8 +195,7 @@ class TestCubulate:
         )
         assert code == 3
         assert json.loads(out)["status"] == "BudgetExceeded"
-        assert cp.exists()
-        assert json.loads(cp.read_text())["kind"] == "checkpoint"
+        assert cp.read_bytes() == stdlib_dumps(json.loads(out)["checkpoint"]).encode("utf-8")
         code2, out2, _ = run(
             capsys,
             "cubulate", "--system", "B3", "--element", "w0", "--checkpoint", str(cp),

@@ -26,6 +26,17 @@ GOLDEN = [
         "c1a82c8b156c20361a5eda068dc18c890329f10c70f8c1ce2e9bb2ffbf87a777",
     ),
     (
+        # the interval documents are encoded one column at a time
+        ("interval", "--system", "D4", "--element", "w0"),
+        0,
+        "9d451971d7467bbb65d22c946c1e0cd1cf627da468d92f3e02c2494f10e071f6",
+    ),
+    (
+        ("interval", "--system", "H3", "--element", "w0"),
+        0,
+        "c3427a3cc14949f03586711c174708118a55b42d297b054fd3bf32cf9f3f8d94",
+    ),
+    (
         ("kl", "--system", "A3", "--word", "2 1 3 2"),
         0,
         "b2435b017f44bce20f06512d230965fff7ff85875e24a138b593f4e0c14afaa8",

@@ -1,9 +1,10 @@
-"""Source hygiene: no unused imports, and an export list that matches the imports.
+"""Source hygiene: no unused imports, an export list that matches the imports,
+and one serialization path.
 
-Both checks read the source with the standard library's ``ast``.  An import
-statement marked ``# noqa: F401`` is exempt from the unused-import check; it
-is kept for a reader outside the module, such as a benchmark that wraps the
-name.
+The first two checks read the source with the standard library's ``ast``.
+An import statement marked ``# noqa: F401`` is exempt from the unused-import
+check; it is kept for a reader outside the module, such as a benchmark that
+wraps the name.
 """
 
 from __future__ import annotations
@@ -87,3 +88,11 @@ def test_all_matches_the_package_imports():
     assert len(exported) == len(bruhat_cubulator.__all__), "duplicate __all__ entry"
     assert [n for n in sorted(exported) if not hasattr(bruhat_cubulator, n)] == []
     assert sorted(imported - exported) == []
+
+
+def test_one_serialization_path():
+    """Only ``serialize`` calls ``json.dumps``, so every document goes through
+    ``serialize.dumps``, the name the benchmark times."""
+    package = sorted((_ROOT / "src" / "bruhat_cubulator").glob("*.py"))
+    callers = [p.name for p in package if "json.dumps(" in p.read_text()]
+    assert callers == ["serialize.py"]

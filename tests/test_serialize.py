@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bruhat_cubulator import serialize
+from bruhat_cubulator import constructions, serialize
 from bruhat_cubulator.bruhat import interval
+from bruhat_cubulator.cli import main
 from bruhat_cubulator.coxeter import build_system
 from bruhat_cubulator.cube import CubicalLattice
 from bruhat_cubulator.kl import KLTable
@@ -16,6 +20,9 @@ from bruhat_cubulator.search import (
     search,
     verify_certificate,
 )
+
+from conftest import system
+from oracles import stdlib_dumps
 
 
 class TestStability:
@@ -163,3 +170,138 @@ class TestKLDoc:
         assert spot[0]["P"] == [1, 1]
         assert doc["report"]["a_y"] == [29, 14]
         assert doc["report"]["all_trivial"] is False
+
+
+# the CLI jobs whose documents the encoder must print as the standard library
+# does: every document kind, each search status, and an affine growth probe
+_JOBS = [
+    ("interval", "--system", "B3", "--element", "w0"),
+    ("kl", "--system", "B3", "--element", "w0"),
+    ("cubulate", "--system", "B3", "--element", "w0"),
+    ("cubulate", "--system", "A3", "--word", "2 1 3 2"),
+    ("construct", "--system", "B3", "--construction", "path-forest"),
+    ("construct", "--system", "Atilde2", "--construction", "atilde2", "--m", "3"),
+    ("growth", "--system", "H3", "--order", "6"),
+    ("growth", "--system", "Atilde2", "--order", "10"),
+    ("suite", "smoke"),
+]
+
+
+_KEYS = st.text(max_size=3) | st.sampled_from(["%", "%s", "a%d", "%%(x)s", "\u00e9", '"\\\n'])
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -0.0, 1e300])
+    | st.text(max_size=4)
+    | st.sampled_from(["\u2603", "\ud800", "\x00\t", "%d"])
+)
+
+
+def _containers(children):
+    uniform = st.lists(_KEYS, max_size=3, unique=True).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries({k: children for k in keys}), max_size=4)
+    )
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(st.integers() | st.booleans(), max_size=4)
+        | uniform
+        | st.lists(st.dictionaries(_KEYS, children, max_size=3), max_size=3)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(_KEYS, children, max_size=4)
+        | st.dictionaries(st.integers() | st.booleans() | st.none() | st.floats(), children, max_size=2)
+    )
+
+
+# nested JSON values, with the kinds that the encoder's paths tell apart
+_json = st.recursive(_SCALARS, _containers, max_leaves=12)
+
+
+def _outcome(encode, doc):
+    """What ``encode(doc)`` gives: ("ok", text), or the error's type and message."""
+    try:
+        return "ok", encode(doc)
+    except (TypeError, ValueError, RecursionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestEncoderOracle:
+    @pytest.fixture
+    def printed(self, monkeypatch):
+        """(document, text) for every document ``serialize.dumps`` encodes."""
+        seen = []
+        dumps = serialize.dumps
+
+        def recording(doc):
+            text = dumps(doc)
+            seen.append((doc, text))
+            return text
+
+        monkeypatch.setattr(serialize, "dumps", recording)
+        return seen
+
+    def test_every_cli_document(self, capsys, printed):
+        for argv in _JOBS:
+            main(list(argv))
+        assert capsys.readouterr().err == ""
+        kinds = [doc.get("kind", doc.get("suite")) for doc, _ in printed]
+        assert kinds == [
+            "interval", "kl-table", "search-outcome", "search-outcome",
+            "construction", "construction", "growth", "growth", "smoke",
+        ]
+        assert [doc["status"] for doc, _ in printed[2:4]] == ["Found", "Exhausted"]
+        assert printed[7][0]["probe"] is not None
+        for doc, text in printed:
+            assert text == stdlib_dumps(doc)
+
+    def test_budget_exceeded_with_checkpoint(self, capsys, printed, tmp_path):
+        cp = tmp_path / "cp.json"
+        argv = ["cubulate", "--system", "B3", "--element", "w0", "--budget", "5"]
+        assert main(argv + ["--checkpoint", str(cp)]) == 3
+        (checkpoint, _), (outcome, _) = printed
+        assert checkpoint["kind"] == "checkpoint"
+        assert outcome["status"] == "BudgetExceeded"
+        assert outcome["checkpoint"] == checkpoint
+        for doc, text in printed:
+            assert text == stdlib_dumps(doc)
+
+    def test_enumeration_document(self):
+        # the document that bench/enumerate_job.py prints
+        pairs = constructions.atilde2_trivial_enumeration(system("Atilde2"), 6)
+        doc = {
+            "schema": serialize.SCHEMA,
+            "kind": "atilde2-trivial-enumeration",
+            "max_length": 6,
+            "trivial": [{"y": list(y.word), "rep": list(r.word)} for y, r in pairs],
+        }
+        assert doc["trivial"]
+        assert serialize.dumps(doc) == stdlib_dumps(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            pytest.param([{"a": 1, "b": set()}, {"a": {1: 2, "x": 1}, "b": 1}], id="first-fault"),
+            pytest.param({(1, 2): 0}, id="tuple-key"),
+            pytest.param([{"a": object()}], id="unencodable"),
+            pytest.param([{"n": 10**5000}], id="long-int"),
+        ],
+    )
+    def test_errors_are_the_standard_librarys(self, doc):
+        assert _outcome(serialize.dumps, doc) == _outcome(stdlib_dumps, doc)
+        assert _outcome(stdlib_dumps, doc)[0] != "ok"
+
+    def test_circular_and_deep_documents(self):
+        loop = []
+        loop.append([{"a": loop}])
+        # deeper than the encoder's recursion reaches, not the standard library's
+        deep = 0
+        for _ in range(400):
+            deep = [deep]
+        assert _outcome(serialize.dumps, loop) == ("ValueError", "Circular reference detected")
+        assert _outcome(serialize.dumps, deep) == ("ok", stdlib_dumps(deep))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_json)
+    def test_matches_the_standard_library(self, doc):
+        assert _outcome(serialize.dumps, doc) == _outcome(stdlib_dumps, doc)
