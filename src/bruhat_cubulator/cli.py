@@ -15,13 +15,15 @@ import sys
 from itertools import accumulate
 from pathlib import Path
 
-from . import constructions as cx
-from . import growth, search, serialize, suites
+# only what every command needs; each command imports the rest itself
+from . import serialize
 from .bruhat import interval
 from .coxeter import CoxeterSystem, Element, build_system
-from .kl import KLTable
 
-_EXIT = {search.FOUND: 0, search.EXHAUSTED: 1, search.BUDGET_EXCEEDED: 3}
+# keyed on search's status strings, so that no other command loads search
+_EXIT = {"Found": 0, "Exhausted": 1, "BudgetExceeded": 3}
+# suites.SUITE_NAMES, written out so that building the parser loads no suite
+_SUITE_NAMES = ("smoke", "classical", "atilde2", "growth", "negative")
 
 
 def parse_budget(text: str) -> int:
@@ -103,19 +105,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=10)
 
     p = sub.add_parser("suite", help="run a named check suite")
-    p.add_argument("name", choices=suites.SUITE_NAMES)
+    p.add_argument("name", choices=_SUITE_NAMES)
     p.add_argument("--out", help="output path (default: stdout)")
     return parser
 
 
 def _resolve_element(system: CoxeterSystem, args) -> Element:
     if getattr(args, "word", None) is not None:
+        usage = '--word takes space-separated generator labels, e.g. "2 1 3 2"'
+        tokens = args.word.split()
+        # int() would also take "1_2", "+1" and non-ASCII digits
+        bad = [a for a in tokens if not re.fullmatch(r"[0-9]+", a)]
+        if bad:
+            raise ValueError(f"bad generator label {bad[0]!r}; {usage}")
         try:
-            return system.element(int(a) for a in args.word.split())
+            return system.element(map(int, tokens))
         except ValueError as exc:
-            raise ValueError(
-                f'{exc}; --word takes space-separated generator labels, e.g. "2 1 3 2"'
-            ) from exc
+            raise ValueError(f"{exc}; {usage}") from exc
     name = getattr(args, "element", None)
     if not name:
         raise ValueError("an element is required (--element or --word)")
@@ -123,7 +129,9 @@ def _resolve_element(system: CoxeterSystem, args) -> Element:
         return system.longest_element()
     mm = re.fullmatch(r"y_m:(\d+)", name)
     if mm:
-        return cx.y_m(system, int(mm.group(1)))
+        from .constructions import y_m
+
+        return y_m(system, int(mm.group(1)))
     raise ValueError(f'unknown named element {name!r}; use "w0" or "y_m:<m>"')
 
 
@@ -155,6 +163,8 @@ def _cmd_interval(args) -> int:
 
 
 def _cmd_kl(args) -> int:
+    from .kl import KLTable
+
     system = build_system(args.system)
     table = KLTable(interval(_resolve_element(system, args)))
     _emit(serialize.dumps(serialize.kl_doc(table)), args.out)
@@ -163,6 +173,8 @@ def _cmd_kl(args) -> int:
 
 def _read_checkpoint(path: Path, iv) -> dict:
     """The checkpoint in ``path``, bound to the search of ``iv``."""
+    from . import search
+
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # a JSON or a UTF-8 decoding error
@@ -187,6 +199,8 @@ def _write_checkpoint(path: Path, checkpoint: dict):
 
 
 def _cmd_cubulate(args) -> int:
+    from . import search
+
     system = build_system(args.system)
     iv = interval(_resolve_element(system, args))
     path = Path(args.checkpoint) if args.checkpoint else None
@@ -200,6 +214,8 @@ def _cmd_cubulate(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from . import constructions as cx
+
     system = build_system(args.system)
     kind = args.construction
     if kind == "path-forest":
@@ -219,6 +235,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_growth(args) -> int:
+    from . import growth
+
     system = build_system(args.system)
     order = args.order
     w = growth.poincare_truncation(system, order)
@@ -260,7 +278,9 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    report = suites.run_suite(args.name)
+    from .suites import run_suite
+
+    report = run_suite(args.name)
     _emit(serialize.dumps(report), args.out)
     return 0 if report["passed"] else 1
 
@@ -282,7 +302,8 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         return 2
     except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # an exception with no message, such as MemoryError(), is named by its class
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

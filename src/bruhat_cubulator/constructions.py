@@ -7,9 +7,9 @@ correct by theorem and a bad certificate means a transcription bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import prod
+from typing import NamedTuple
 
 from .bruhat import BruhatInterval, interval, poincare_polynomial
 from .coxeter import CoxeterSystem, Element
@@ -22,8 +22,7 @@ class ConstructionError(RuntimeError):
     """A construction produced a certificate that fails verification."""
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
+class ConstructionResult(NamedTuple):
     lattice: CubicalLattice
     certificate: Cubulation
     tag: str

@@ -12,8 +12,8 @@ full series.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import NamedTuple
 
 from .coxeter import CoxeterSystem, Element
 from .polynomials import SeriesTruncation, euler_exponents
@@ -149,8 +149,7 @@ def ball_in_interval_check(system: CoxeterSystem, k: int, y: Element) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
-class GrowthProbeReport:
+class GrowthProbeReport(NamedTuple):
     """Quantum shapes matching truncations of F(z) = (1 - z)^|S| W(z).
 
     ``shapes_by_order[j]`` lists every multiset (a_1 <= ... <= a_N) with
@@ -162,7 +161,7 @@ class GrowthProbeReport:
 
     order: int
     f_coeffs: tuple[int, ...]
-    shapes_by_order: dict = field(repr=False)
+    shapes_by_order: dict
     stabilization_index: int | None
     stabilized_shape: tuple[int, ...] | None
     caveat: str = "finite truncation only; not evidence about the full series"

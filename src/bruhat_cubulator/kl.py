@@ -18,12 +18,14 @@ tuples; IntPoly objects are made only for the caller.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from .bruhat import BruhatInterval, interval, poincare_polynomial
 from .coxeter import Element
 from .polynomials import IntPoly, ONE, ZERO, is_palindromic
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class KLConsistencyError(RuntimeError):
@@ -215,8 +217,7 @@ def all_trivial(y: Element) -> bool:
     return is_palindromic(poincare_polynomial(interval(y)))
 
 
-@dataclass(frozen=True)
-class CPReport:
+class CPReport(NamedTuple):
     """Four independently computed equivalent triviality conditions."""
 
     all_trivial: bool
@@ -238,6 +239,8 @@ def table_report(table: KLTable) -> CPReport:
     at every x, (3) average length l(y)/2, (4) palindromic Poincare
     polynomial.  Any disagreement raises, since the four are a theorem.
     """
+    from fractions import Fraction
+
     iv = table.interval
     y = iv.top
     cond_trivial = all(p == ONE for p in table.top_column())

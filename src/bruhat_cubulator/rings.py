@@ -10,11 +10,14 @@ bracket decides its sign.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor
+from typing import TYPE_CHECKING
 
 from .polynomials import IntPoly
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @lru_cache(maxsize=None)
@@ -63,8 +66,8 @@ class CosRing:
         self.minpoly = minimal_poly_two_cos(L)
         self.degree = self.minpoly.degree
         self._dminpoly = IntPoly(i * a for i, a in enumerate(self.minpoly.coeffs) if i)
-        # lo <= c <= hi <= 2, refined on demand by _refine
-        self._bracket = (Fraction(0), Fraction(2))
+        # lo <= c <= hi <= 2, refined on demand by _refine to dyadic Fractions
+        self._bracket = (0, 2)
         self._sign_cache: dict[tuple[int, ...], int] = {}
 
     def __repr__(self):
@@ -116,7 +119,9 @@ class CosRing:
         x - d*t <= c <= x - t.  The ends are rounded outward to dyadics at a
         precision that tracks the squared width, keeping quadratic convergence.
         """
-        x = self._bracket[1]
+        from fractions import Fraction
+
+        x = Fraction(self._bracket[1])
         t = self.minpoly(x) / self._dminpoly(x)
         lo, hi = x - self.degree * t, x - t
         width = hi - lo

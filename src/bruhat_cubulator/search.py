@@ -26,7 +26,7 @@ the one entry point: it binds a checkpoint to its job before replay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bruhat import BruhatInterval, interval, poincare_polynomial
 from .coxeter import Element
@@ -41,19 +41,17 @@ BUDGET_EXCEEDED = "BudgetExceeded"
 SEARCH_RULES = 2
 
 
-@dataclass(frozen=True)
-class Cubulation:
+class Cubulation(NamedTuple):
     """A certified isomorphism from a cubical lattice onto a spanning subgraph."""
 
     lattice: CubicalLattice
     assignment: dict  # lattice vertex (coordinate tuple) -> interval vertex id
 
 
-@dataclass
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     status: str
-    certificate: Cubulation | None = None
-    stats: dict = field(default_factory=dict)
+    certificate: Cubulation | None
+    stats: dict
     checkpoint: dict | None = None
 
 

@@ -28,10 +28,12 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .bruhat import BruhatInterval
-# bench/tracing.py wraps interval and carrell_peterson_report by these names
+# bench/tracing.py wraps interval and carrell_peterson_report as attributes
+# of this module and then restores what it found, so both stay real imports:
+# a lazy module __getattr__ would leave them in the module after the pass.
+# Loading kl here is cheap, since it imports neither dataclasses nor fractions.
 from .bruhat import interval  # noqa: F401
 from .kl import CPReport, KLTable, carrell_peterson_report, table_report  # noqa: F401
-from .search import Cubulation, SearchOutcome
 
 SCHEMA = "bruhat-cubulator/1"
 
@@ -206,7 +208,7 @@ def kl_doc(table: KLTable) -> dict:
     }
 
 
-def certificate_doc(iv: BruhatInterval, cert: Cubulation) -> dict:
+def certificate_doc(iv: BruhatInterval, cert) -> dict:
     return {
         "lattice": list(cert.lattice.params),
         "assignment": [
@@ -220,7 +222,7 @@ def certificate_doc(iv: BruhatInterval, cert: Cubulation) -> dict:
     }
 
 
-def outcome_doc(iv: BruhatInterval, outcome: SearchOutcome) -> dict:
+def outcome_doc(iv: BruhatInterval, outcome) -> dict:
     doc = {
         "schema": SCHEMA,
         "kind": "search-outcome",

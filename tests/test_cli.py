@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import bruhat_cubulator
-from bruhat_cubulator import suites
+from bruhat_cubulator import cli, suites
 from bruhat_cubulator.cli import main, parse_budget
 from bruhat_cubulator.coxeter import build_system
 from bruhat_cubulator.search import SEARCH_RULES
@@ -441,6 +441,29 @@ class TestErrorsAndSuites:
         assert "the labels are 1 2 3" in err
         assert "space-separated generator labels" in err
 
+    @pytest.mark.parametrize("label", ["1_2", "+1", "\u0661"])
+    def test_word_label_must_be_ascii_digits(self, capsys, label):
+        # int() takes each of these; on A12, "1_2" would mean s_12
+        code, out, err = run(capsys, "interval", "--system", "A3", "--word", f"2 {label} 3")
+        assert code == 2
+        assert out == ""
+        assert f"bad generator label {label!r}" in err
+        assert "space-separated generator labels" in err
+
+    def test_error_without_message_names_its_class(self, capsys, monkeypatch):
+        def no_memory(args):
+            raise MemoryError()
+
+        def refused(args):
+            raise ValueError("order too large")
+
+        monkeypatch.setitem(cli._COMMANDS, "growth", no_memory)
+        code, out, err = run(capsys, "growth", "--system", "A2", "--order", "5")
+        assert (code, out, err) == (2, "", "error: MemoryError\n")
+        monkeypatch.setitem(cli._COMMANDS, "growth", refused)
+        code, out, err = run(capsys, "growth", "--system", "A2", "--order", "5")
+        assert (code, out, err) == (2, "", "error: order too large\n")
+
     def test_family_element_on_another_system(self, capsys):
         code, out, err = run(capsys, "interval", "--system", "B3", "--element", "y_m:2")
         assert code == 2
@@ -475,6 +498,8 @@ class TestErrorsAndSuites:
             "negative": ["f4_w0_exhausted"],
         }
         assert suites.SUITE_NAMES == tuple(names)
+        # the parser lists them without loading suites
+        assert cli._SUITE_NAMES == suites.SUITE_NAMES
 
     def test_failing_check_is_reported(self, capsys, monkeypatch):
         def broken():

@@ -1,7 +1,7 @@
-"""Source hygiene: no unused imports, an export list that matches the imports,
-and one serialization path.
+"""Source hygiene: no unused imports, an export list that matches the package's
+lazy export table, and one serialization path.
 
-The first two checks read the source with the standard library's ``ast``.
+The unused-import check reads the source with the standard library's ``ast``.
 An import statement marked ``# noqa: F401`` is exempt from the unused-import
 check; it is kept for a reader outside the module, such as a benchmark that
 wraps the name.
@@ -10,6 +10,7 @@ wraps the name.
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,6 @@ _ROOT = Path(__file__).resolve().parents[1]
 _SOURCES = sorted((_ROOT / "src" / "bruhat_cubulator").glob("*.py")) + sorted(
     (_ROOT / "tests").glob("*.py")
 )
-_INIT = _ROOT / "src" / "bruhat_cubulator" / "__init__.py"
 
 
 def _imported_names(tree: ast.Module, lines: list[str]) -> dict[str, int]:
@@ -77,17 +77,21 @@ def test_no_unused_imports(path):
 
 
 def test_all_matches_the_package_imports():
-    tree = ast.parse(_INIT.read_text())
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
-        for alias in node.names
-    }
-    exported = set(bruhat_cubulator.__all__)
-    assert len(exported) == len(bruhat_cubulator.__all__), "duplicate __all__ entry"
-    assert [n for n in sorted(exported) if not hasattr(bruhat_cubulator, n)] == []
-    assert sorted(imported - exported) == []
+    """``__all__`` is the lazy export table's names, and each name is its module's object."""
+    table = bruhat_cubulator._EXPORTS
+    names = [name for module_names in table.values() for name in module_names]
+    assert len(set(names)) == len(names), "a name exported twice"
+    assert bruhat_cubulator.__all__ == sorted(names)
+    for module, module_names in table.items():
+        submodule = importlib.import_module(f"bruhat_cubulator.{module}")
+        for name in module_names:
+            assert getattr(bruhat_cubulator, name) is getattr(submodule, name), name
+    assert set(names) <= set(dir(bruhat_cubulator))
+    star = {}
+    exec("from bruhat_cubulator import *", star)
+    assert all(star[name] is getattr(bruhat_cubulator, name) for name in names)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bruhat_cubulator.no_such_name
 
 
 def test_one_serialization_path():
