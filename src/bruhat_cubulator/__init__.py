@@ -18,7 +18,7 @@ _EXPORTS = {
     "cube": ("CubicalLattice",),
     "kl": (
         "CPReport", "KLConsistencyError", "KLTable", "all_trivial", "carrell_peterson_report",
-        "kl_polynomial", "kl_table", "r_polynomial", "soergel_h",
+        "kl_polynomial", "kl_table", "r_polynomial",
     ),
     "polynomials": (
         "IntPoly", "SeriesTruncation", "is_palindromic", "quantum_factorizations", "quantum_poly",

@@ -12,13 +12,17 @@ table.  Element objects are made only for the vertices.
 - Canonical words, in length order: the first letter of the
   lexicographically first reduced word of u is its smallest left descent
   s, found by looking s*u up one length down; the rest is the word of s*u.
-- Edges: each vertex carries the images of the roots the edge step needs,
-  one lookup per root from the vertex s*u below it.  For a reflection t
-  with root beta, u -> ut goes up iff u(beta) > 0, and the key of ut is
-  read off the images of t(alpha_1), ..., t(alpha_n).
+- Edges, built on the first read of ``bruhat_edges`` or ``hasse_edges``:
+  each vertex carries the images of the roots the edge step needs, one
+  lookup per root from the vertex s*u below it.  For a reflection t with
+  root beta, u -> ut goes up iff u(beta) > 0, and the key of ut is read
+  off the images of t(alpha_1), ..., t(alpha_n).  Level sizes, and so the
+  Poincare polynomial, need only the vertices.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .coxeter import CoxeterSystem, Element
 from .polynomials import IntPoly
@@ -29,7 +33,8 @@ class BruhatInterval:
 
     Vertices carry dense ids assigned in (length, canonical word) order, so
     id 0 is the identity and the last id is y.  ``bruhat_edges`` holds
-    triples (u_id, v_id, t) with t the reflection u^-1 v.
+    triples (u_id, v_id, t) with t the reflection u^-1 v; it, ``hasse_edges``
+    and ``below_masks`` are built on first read.
     """
 
     def __init__(self, system: CoxeterSystem, top: Element):
@@ -37,35 +42,33 @@ class BruhatInterval:
             raise ValueError("top element from a different system")
         self.system = system
         self.top = top
-        self._build()
-        self._below_masks = None
-
-    # -- construction -------------------------------------------------------
-
-    def _build(self):
-        sys = self.system
-        left = sys._left
-        top_length = self.top.length
-
-        self.vertices, ids, letter, below, starts = sys._sorted_elements(
-            _subword_closure(sys, self.top.iword)
+        self.vertices, self.key_ids, self.letter, self.below, self._starts = (
+            system._sorted_elements(_subword_closure(system, top.iword))
         )
+        # key_ids: the id of each key; letter[u] and below[u]: the smallest
+        # left descent s of u and the id of s*u, the steps of ``kl``'s R recursion
         self.index = {el: i for i, el in enumerate(self.vertices)}
         self.lengths = [el.length for el in self.vertices]
-        # the id of each key, and for each id u its smallest left descent s
-        # and the id of s*u: the steps of the R recursion in ``kl``
-        self.key_ids, self.letter, self.below = ids, letter, below
 
-        # edge step on the images of the needed roots, one length at a time;
-        # an edge label t = u^-1 v has ell(t) <= ell(u) + ell(v) < 2 ell(y)
-        reflections = sys._reflections(top_length)
+    # -- derived structure, built on first read ------------------------------
+
+    @cached_property
+    def bruhat_edges(self) -> list[tuple]:
+        """The edge step, on the images of the needed roots, one length at a time.
+
+        An edge label t = u^-1 v has ell(t) <= ell(u) + ell(v) < 2 ell(y).
+        """
+        sys, ids, letter, below, starts = (
+            self.system, self.key_ids, self.letter, self.below, self._starts
+        )
+        left, sign = sys._left, sys._root_sign
+        reflections = sys._reflections(self.top.length)
         needed = sorted({r for _, rid, tkey in reflections for r in (rid, *tkey)})
         at = {r: j for j, r in enumerate(needed)}
         tests = [(at[rid], tuple(at[r] for r in tkey), t) for t, rid, tkey in reflections]
-        sign = sys._root_sign
         edges = []
         images = [tuple(needed)]
-        for l in range(top_length + 1):
+        for l in range(self.top.length + 1):
             lo, hi = starts[l], starts[l + 1]
             if l:
                 prev = starts[l - 1]
@@ -80,12 +83,13 @@ class BruhatInterval:
                             out.append((v, t))
                 out.sort()
                 edges.extend((u, v, t) for v, t in out)
-        self.bruhat_edges = edges
-        self.hasse_edges = [
-            (u, v) for u, v, _ in edges if self.lengths[v] == self.lengths[u] + 1
-        ]
+        return edges
 
-    # -- derived structure --------------------------------------------------
+    @cached_property
+    def hasse_edges(self) -> list[tuple]:
+        """The Bruhat edges (u, v) with ell(v) = ell(u) + 1."""
+        lengths = self.lengths
+        return [(u, v) for u, v, _ in self.bruhat_edges if lengths[v] == lengths[u] + 1]
 
     def __len__(self):
         return len(self.vertices)
@@ -93,16 +97,14 @@ class BruhatInterval:
     def __contains__(self, el: Element) -> bool:
         return el in self.index
 
-    @property
+    @cached_property
     def below_masks(self) -> list[int]:
         """For each vertex v, the bitset of ids x with x <= v."""
-        if self._below_masks is None:
-            masks = [1 << i for i in range(len(self.vertices))]
-            for u, v in self.hasse_edges:
-                masks[v] |= masks[u]
-            # hasse edges go up in id order, so one ascending pass suffices
-            self._below_masks = masks
-        return self._below_masks
+        masks = [1 << i for i in range(len(self.vertices))]
+        # hasse edges go up in id order, so one ascending pass suffices
+        for u, v in self.hasse_edges:
+            masks[v] |= masks[u]
+        return masks
 
     def leq_ids(self, x_id: int, y_id: int) -> bool:
         return bool(self.below_masks[y_id] >> x_id & 1)

@@ -26,20 +26,28 @@ _EXIT = {"Found": 0, "Exhausted": 1, "BudgetExceeded": 3}
 _SUITE_NAMES = ("smoke", "classical", "atilde2", "growth", "negative")
 
 
+def _natural(text: str, what: str, least: int = 0) -> int:
+    """The integer >= least that text spells in the digits 0-9; int() alone would
+    also take " 1_0", "+1" and "١", and raises ValueError past 4300 digits."""
+    if not re.fullmatch(r"[0-9]+", text) or int(text) < least:
+        raise argparse.ArgumentTypeError(
+            f"bad {what} {text!r}; must be an integer >= {least} in the digits 0-9"
+        )
+    return int(text)
+
+
 def parse_budget(text: str) -> int:
     """Accept plain integers below 2^63 plus the power forms 10^9 and 3*10^8."""
     too_large = argparse.ArgumentTypeError("budget must be below 2^63")
-    mm = re.fullmatch(r"(?:(\d+)\*)?(\d+)\^(\d+)", text)
+    head, caret, exp = text.partition("^")
+    mant, star, base = head.rpartition("*") if caret else ("", "", text)
     try:
-        if mm:
-            mant = int(mm.group(1)) if mm.group(1) else 1
-            # b^e >= 2^63 once b >= 2 and e >= 63, and 0^e, 1^e are the same
-            # for every e >= 63, so capping e keeps the test without the power
-            value = mant * int(mm.group(2)) ** min(int(mm.group(3)), 63)
-        elif re.fullmatch(r"\d+", text):
-            value = int(text)
-        else:
-            raise argparse.ArgumentTypeError(f"bad budget {text!r}")
+        # b^e >= 2^63 once b >= 2 and e >= 63, and 0^e, 1^e are the same
+        # for every e >= 63, so capping e keeps the test without the power
+        value = _natural(base, "budget") ** min(_natural(exp, "budget") if caret else 1, 63)
+        value *= _natural(mant, "budget") if star else 1
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(f"bad budget {text!r}") from None
     except ValueError:  # int() refuses a string of more than 4300 digits
         raise too_large from None
     if value <= 0:
@@ -47,13 +55,6 @@ def parse_budget(text: str) -> int:
     if value >= 2**63:
         raise too_large
     return value
-
-
-def parse_workers(text: str) -> int:
-    """Accept a positive integer worker count."""
-    if not re.fullmatch(r"\d+", text) or int(text) <= 0:
-        raise argparse.ArgumentTypeError(f"bad worker count {text!r}; must be a positive integer")
-    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=parse_budget, help="node-expansion budget below 2^63, e.g. 10^9")
     p.add_argument(
         "--workers",
-        type=parse_workers,
+        type=lambda t: _natural(t, "worker count", 1),
         default=1,
         help="accepted for compatibility; the search runs serially",
     )
@@ -98,11 +99,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--element", help="target element for boolean/dihedral")
     p.add_argument("--word", help="target word for boolean/dihedral")
-    p.add_argument("--m", type=int, help="family index for atilde2")
+    p.add_argument("--m", type=lambda t: _natural(t, "index"), help="family index for atilde2")
 
     p = sub.add_parser("growth", help="growth series truncations and probes")
     common(p, element=False)
-    p.add_argument("--order", type=int, default=10)
+    p.add_argument("--order", type=lambda t: _natural(t, "order"), default=10)
 
     p = sub.add_parser("suite", help="run a named check suite")
     p.add_argument("name", choices=_SUITE_NAMES)
@@ -127,11 +128,10 @@ def _resolve_element(system: CoxeterSystem, args) -> Element:
         raise ValueError("an element is required (--element or --word)")
     if name == "w0":
         return system.longest_element()
-    mm = re.fullmatch(r"y_m:(\d+)", name)
-    if mm:
+    if name.startswith("y_m:"):
         from .constructions import y_m
 
-        return y_m(system, int(mm.group(1)))
+        return y_m(system, _natural(name.removeprefix("y_m:"), "--element y_m:<m> index"))
     raise ValueError(f'unknown named element {name!r}; use "w0" or "y_m:<m>"')
 
 

@@ -146,6 +146,9 @@ def atilde2_cubulation(system: CoxeterSystem, m: int) -> ConstructionResult:
     _check_atilde2(system, "the atilde2 construction")
     if m < 1:
         raise ValueError("m must be at least 1; m = 0 is dihedral")
+    # built first, so that every product below is a vertex already made and
+    # is looked up by its key, with no canonical word to compute
+    iv = interval(y_m(system, m))
     g = {i: system.generator(i) for i in (0, 1, 2)}
     level0 = {
         (0, 0): system.identity,
@@ -166,7 +169,6 @@ def atilde2_cubulation(system: CoxeterSystem, m: int) -> ConstructionResult:
         new[(t + 1, t + 1)] = new[(t + 1, t)] * s_prev
         new[(t + 1, t + 2)] = new[(t + 1, t + 1)] * s_t
         level0 = new
-    iv = interval(y_m(system, m))
     lattice = CubicalLattice((2, m, m + 1))
     assignment = {}
     for (k2, k3), el in level0.items():

@@ -436,32 +436,35 @@ class CoxeterSystem:
         return self._descents(self._key(w.iword[::-1]))
 
     def is_reflection(self, w: "Element") -> bool:
-        """True iff w is conjugate to a generator.
+        """True iff w is conjugate to a generator: ``differ_by_reflection(1, w)``."""
+        return self.differ_by_reflection(self.identity, w)
 
-        Decided by the matrix test on the key's root vectors: w is an
-        involution other than the identity whose representation matrix
-        fixes a hyperplane (rank(M - I) = 1).
+    def differ_by_reflection(self, u: "Element", v: "Element") -> bool:
+        """True iff u^-1 v is a reflection, decided on the keys of u and v.
+
+        With M_w the matrix whose columns are the root vectors of w's key,
+        the test is: l(u) + l(v) is odd, M_v != M_u, and every 2x2 minor of
+        M_v - M_u vanishes.  For t = u^-1 v it is the matrix test that t is
+        an involution other than 1 whose matrix fixes a hyperplane:
+
+        - M_v - M_u = M_u (M_t - I), so it has the rank of M_t - I;
+        - if that rank is 1, then M_t = I + a phi^T and det M_t = 1 + phi(a);
+        - det M_t = (-1)^l(t) and l(t) = l(u) + l(v) mod 2, so odd parity
+          gives phi(a) = -2, and then M_t^2 = I + (2 + phi(a)) a phi^T = I.
+
+        So the involution check is derived, not dropped.  Odd parity makes
+        u != v, so M_v != M_u; columns with equal root ids are zero in
+        M_v - M_u, and the rest has rank 1 iff each is a multiple of the first.
         """
-        if w.length % 2 == 0:
+        if (u.length + v.length) % 2 == 0:
             return False
-        if w.inverse() is not w:
-            return False
-        mat = [self._roots[r] for r in w.key]
-        n = self.rank
-        diff = [
-            [mat[j][i] - (self._one if i == j else self._zero) for i in range(n)]
-            for j in range(n)
-        ]
-        if not any(x for col in diff for x in col):
-            return False
-        for j1 in range(n):
-            for j2 in range(j1 + 1, n):
-                for i1 in range(n):
-                    for i2 in range(i1 + 1, n):
-                        minor = diff[j1][i1] * diff[j2][i2] - diff[j1][i2] * diff[j2][i1]
-                        if minor:
-                            return False
-        return True
+        roots, n = self._roots, self.rank
+        first, *rest = (
+            [a - b for a, b in zip(roots[r], roots[q])] for r, q in zip(v.key, u.key) if r != q
+        )
+        return all(
+            first[i] * c[j] == first[j] * c[i] for c in rest for j in range(n) for i in range(j)
+        )
 
     def support(self, w: "Element") -> frozenset:
         return frozenset(self.labels[s] for s in set(w.iword))

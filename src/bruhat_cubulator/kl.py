@@ -256,14 +256,3 @@ def table_report(table: KLTable) -> CPReport:
         )
     return CPReport(cond_trivial, cond_edges, cond_average, cond_palindromic, a_y)
 
-
-def soergel_h(x: Element, y: Element) -> IntPoly:
-    """h_{x,y}(v) = v^(l(y)-l(x)) P_{x,y}(1/v^2), expanded in v."""
-    if not x.system.bruhat_leq(x, y):
-        raise ValueError("x must be <= y in Bruhat order")
-    p = kl_polynomial(x, y)
-    d = y.length - x.length
-    coeffs = [0] * (d + 1)
-    for i, a in enumerate(p.coeffs):
-        coeffs[d - 2 * i] = a
-    return IntPoly(coeffs)

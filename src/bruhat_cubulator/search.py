@@ -374,7 +374,9 @@ def verify_certificate_detailed(iv: BruhatInterval, cert: Cubulation) -> tuple[b
 
     Verifies bijectivity, that lengths match coordinate sums, and that each
     lattice edge maps to a pair (u, v) with l(v) > l(u) and u^-1 v a
-    reflection.  Deliberately avoids the interval's precomputed edge data.
+    reflection, the last tested on the keys of u and v alone
+    (``CoxeterSystem.differ_by_reflection``), with no word made.
+    Deliberately avoids the interval's precomputed edge data.
     """
     lattice = cert.lattice
     verts = lattice.vertices()
@@ -393,7 +395,6 @@ def verify_certificate_detailed(iv: BruhatInterval, cert: Cubulation) -> tuple[b
         ev = iv.vertices[assignment[v]]
         if ev.length <= eu.length:
             return False, f"edge {u}->{v} does not increase length"
-        t = eu.inverse() * ev
-        if not sys.is_reflection(t):
+        if not sys.differ_by_reflection(eu, ev):
             return False, f"edge {u}->{v} label is not a reflection"
     return True, "ok"

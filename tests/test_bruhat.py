@@ -6,7 +6,10 @@ from bruhat_cubulator.bruhat import interval, poincare_polynomial
 from bruhat_cubulator.polynomials import IntPoly
 
 import oracles
+from bruhat_cubulator import constructions as cx
 from bruhat_cubulator.constructions import y_m
+from bruhat_cubulator.coxeter import CoxeterSystem, build_system
+from bruhat_cubulator.kl import all_trivial
 from conftest import system
 
 # integer, ring (H3, I2(m)) and affine tiers; a word, "w0" or "y_m:<m>"
@@ -108,6 +111,35 @@ class TestEdges:
         edges = list(interval(a2.longest_element()).bruhat_edges)
         assert len(edges) == 3 + 2 + 2 + 1 + 1
         assert [e[:2] for e in edges] == sorted({e[:2] for e in edges})
+
+
+class TestLazyEdges:
+    """The edge step, the one reader of ``_reflections``, runs only when
+    ``bruhat_edges`` or ``hasse_edges`` is read."""
+
+    @pytest.fixture
+    def no_edge_step(self, monkeypatch):
+        def refuse(self, depth):
+            raise AssertionError("the edge step ran")
+
+        monkeypatch.setattr(CoxeterSystem, "_reflections", refuse)
+
+    def test_level_sizes_and_constructions_build_no_edges(self, no_edge_step):
+        atilde2 = build_system("Atilde2")
+        assert len(cx.atilde2_trivial_enumeration(atilde2, 8)) > 0
+        result = cx.atilde2_cubulation(atilde2, 4)
+        assert len(result.interval) == 90
+        assert all_trivial(build_system("B3").longest_element())
+        iv = interval(build_system("B3").longest_element())
+        assert poincare_polynomial(iv) == IntPoly((1, 3, 5, 7, 8, 8, 7, 5, 3, 1))
+        with pytest.raises(AssertionError, match="edge step"):
+            iv.hasse_edges
+
+    def test_edges_are_built_once(self, a3):
+        iv = interval(a3.longest_element())
+        assert iv.hasse_edges is iv.hasse_edges
+        assert iv.bruhat_edges is iv.bruhat_edges
+        assert iv.below_masks is iv.below_masks
 
 
 class TestMasks:

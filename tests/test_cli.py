@@ -339,6 +339,35 @@ class TestCubulate:
         assert "checkpoint does not replay" in err
         assert "older version of the search" in err
 
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (("growth", "--system", "A2", "--order", " 1_0"), "--order"),
+            (("growth", "--system", "A2", "--order", "١٠"), "--order"),
+            (("growth", "--system", "A2", "--order", "+5"), "--order"),
+            (("construct", "--system", "Atilde2", "--construction", "atilde2", "--m", "٣"), "--m"),
+            (("construct", "--system", "Atilde2", "--construction", "atilde2", "--m", "1_2"), "--m"),
+            (("cubulate", "--system", "A2", "--element", "w0", "--workers", "١"), "--workers"),
+            (("cubulate", "--system", "A2", "--element", "w0", "--workers", " 2"), "--workers"),
+            (("cubulate", "--system", "A2", "--element", "w0", "--budget", "١٠^٣"), "--budget"),
+            (("cubulate", "--system", "A2", "--element", "w0", "--budget", "1_000"), "--budget"),
+        ],
+    )
+    def test_integer_options_take_ascii_digits_only(self, capsys, argv, option):
+        # int() reads " 1_0" as 10 and "١" as 1
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"argument {option}: bad " in captured.err
+
+    @pytest.mark.parametrize("index", ["١", " 1", "1_0", "+1"])
+    def test_family_index_takes_ascii_digits_only(self, capsys, index):
+        code, out, err = run(capsys, "interval", "--system", "Atilde2", "--element", f"y_m:{index}")
+        assert (code, out) == (2, "")
+        assert f"bad --element y_m:<m> index {index!r}" in err
+
     @pytest.mark.parametrize("workers", ["0", "-3", "two"])
     def test_bad_worker_count(self, capsys, workers):
         with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bruhat_cubulator.bruhat import interval
+from bruhat_cubulator.constructions import y_m
 from bruhat_cubulator.coxeter import build_system
 
 import oracles
@@ -158,6 +160,36 @@ class TestGroupStructure:
         assert not a3.is_reflection(a3.identity)
         assert not a3.is_reflection(a3.element((1, 2)))
         assert not a3.is_reflection(a3.element((1, 2, 3)))
+
+    @pytest.mark.parametrize(
+        "tag,top,count",
+        [
+            ("A3", "w0", 144),
+            ("B3", "w0", 432),
+            ("H3", "w0", 1_800),
+            ("I2(5)", "w0", 50),
+            ("G2", "w0", 72),
+            ("D4", "w0", 2_304),
+            ("Atilde2", "y_m:4", 990),
+        ],
+    )
+    def test_key_test_matches_reflection_products(self, tag, top, count):
+        """differ_by_reflection(u, v), which reads only the keys, agrees on
+        every ordered pair of [1, y] with is_reflection(u^-1 v) and with
+        membership of u^-1 v in the reflections enumerated as conjugates."""
+        sys = system(tag)
+        y = sys.longest_element() if top == "w0" else y_m(sys, int(top.removeprefix("y_m:")))
+        # l(u^-1 v) <= 2 l(y) < 2 (l(y) + 1) - 1
+        refl = set(sys.reflections_up_to(y.length + 1))
+        verts = interval(y).vertices
+        positive = 0
+        for u in verts:
+            for v in verts:
+                t = u.inverse() * v
+                expected = t in refl
+                assert sys.differ_by_reflection(u, v) == sys.is_reflection(t) == expected, (u, v)
+                positive += expected
+        assert positive == count
 
     def test_reflections_conjugate_form(self, atilde2):
         for t in atilde2.reflections_up_to(4):

@@ -68,6 +68,17 @@ GOLDEN = [
         "a4b4ed0fecbd8bc6e18caadcd3169b350404ce30366792a3fc506edef78e260b",
     ),
     (
+        # the verifier's edge test in the ring tier
+        ("construct", "--system", "I2(7)", "--construction", "dihedral", "--element", "w0"),
+        0,
+        "558ac6c64bf1e92e6db8b969bd0ce03602c75f8456c3264273e7596c3639395f",
+    ),
+    (
+        ("construct", "--system", "A4", "--construction", "path-forest"),
+        0,
+        "b0bf23310eca2a288bda69ffe68084274acfbe8060718a852a1cef1777b59363",
+    ),
+    (
         ("construct", "--system", "Atilde2", "--construction", "atilde2", "--m", "3"),
         0,
         "f45dcbe097273ceaa69142617402fc3dc1d399bf55d2278202f6453c97495fee",

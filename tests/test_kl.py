@@ -15,7 +15,6 @@ from bruhat_cubulator.kl import (
     kl_polynomial,
     kl_table,
     r_polynomial,
-    soergel_h,
 )
 from bruhat_cubulator.polynomials import ONE, ZERO, IntPoly
 
@@ -237,19 +236,3 @@ class TestCarrellPeterson:
         report = carrell_peterson_report(atilde2.element((0, 1, 0, 2)))
         assert report.all_trivial
         assert report.a_y == Fraction(2, 1)
-
-
-class TestSoergelNormalization:
-    def test_trivial_pair(self, a3):
-        w0 = a3.longest_element()
-        h = soergel_h(a3.identity, w0)
-        assert h.coeffs == (0,) * 6 + (1,)
-
-    def test_mixed_pair(self, a3):
-        y = a3.element((2, 1, 3, 2))
-        # P = 1 + q and length difference 4 give v^4 + v^2
-        assert soergel_h(a3.identity, y).coeffs == (0, 0, 1, 0, 1)
-
-    def test_requires_comparable(self, a3):
-        with pytest.raises(ValueError):
-            soergel_h(a3.generator(3), a3.element((1, 2)))

@@ -399,6 +399,23 @@ class TestVerifier:
                 break
         assert saw_edge_rejection
 
+    def test_rejects_non_reflection_label_in_the_ring_tier(self):
+        # H3's root coordinates lie in Z[2cos(pi/5)]: swap two same-rank
+        # vertices until an edge keeps its lengths but not a reflection
+        iv, cert = self._found(system("H3"))
+        assert verify_certificate(iv, cert)
+        coords = sorted(cert.assignment, key=sum)
+        for u, v in zip(coords, coords[1:]):
+            if sum(u) != sum(v):
+                continue
+            bad = dict(cert.assignment)
+            bad[u], bad[v] = bad[v], bad[u]
+            ok, msg = verify_certificate_detailed(iv, Cubulation(cert.lattice, bad))
+            if not ok:
+                assert msg.endswith("label is not a reflection"), msg
+                return
+        pytest.fail("no swap was rejected")
+
 
 class TestOracleAgreement:
     """The search returns the naive recursion's first, lexicographically
