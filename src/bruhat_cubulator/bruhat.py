@@ -12,11 +12,13 @@ table.  Element objects are made only for the vertices.
 - Canonical words, in length order: the first letter of the
   lexicographically first reduced word of u is its smallest left descent
   s, found by looking s*u up one length down; the rest is the word of s*u.
-- Edges, built on the first read of ``bruhat_edges`` or ``hasse_edges``:
-  each vertex carries the images of the roots the edge step needs, one
-  lookup per root from the vertex s*u below it.  For a reflection t with
-  root beta, u -> ut goes up iff u(beta) > 0, and the key of ut is read
-  off the images of t(alpha_1), ..., t(alpha_n).  Level sizes, and so the
+- Hasse edges, built on the first read of ``hasse_edges``, from the
+  lifting property (same reference), one lookup per cover of s*v.
+- Bruhat edges, built on the first read of ``bruhat_edges``: each vertex
+  carries the images of the roots the edge step needs, one lookup per
+  root from the vertex s*u below it.  For a reflection t with root beta,
+  u -> ut goes up iff u(beta) > 0, and the key of ut is read off the
+  images of t(alpha_1), ..., t(alpha_n).  Level sizes, and so the
   Poincare polynomial, need only the vertices.
 """
 
@@ -87,9 +89,27 @@ class BruhatInterval:
 
     @cached_property
     def hasse_edges(self) -> list[tuple]:
-        """The Bruhat edges (u, v) with ell(v) = ell(u) + 1."""
-        lengths = self.lengths
-        return [(u, v) for u, v, _ in self.bruhat_edges if lengths[v] == lengths[u] + 1]
+        """The Bruhat edges (u, v) with ell(v) = ell(u) + 1, in (u, v) order.
+
+        Let s = letter[v], a left descent of v.  A u covered by v other than
+        s*v has su < u, or else lifting gives u <= s*v, so u = s*v; then
+        su <= s*v, and su is covered by s*v.  Conversely, if x is covered by
+        s*v and sx > x, lifting gives sx <= v.  So the covers of v are s*v
+        and the s*x of length ell(v) - 1, for x covered by s*v.
+        """
+        left, ids, starts, lengths = self.system._left, self.key_ids, self._starts, self.lengths
+        keys = [el.key for el in self.vertices]
+        down = [[]]  # down[v]: the ids covered by v
+        up = [[] for _ in keys]
+        for v in range(1, len(keys)):
+            s, sv = self.letter[v], self.below[v]
+            lo = starts[lengths[v] - 1]
+            # sx is of length ell(v) - 1 or ell(v) - 3, so ids tell them apart
+            covered = [sv, *(u for u in (ids[left(s, keys[x])] for x in down[sv]) if u >= lo)]
+            down.append(covered)
+            for u in covered:
+                up[u].append(v)
+        return [(u, v) for u, vs in enumerate(up) for v in vs]
 
     def __len__(self):
         return len(self.vertices)

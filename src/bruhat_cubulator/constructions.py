@@ -11,10 +11,10 @@ from itertools import product
 from math import prod
 from typing import NamedTuple
 
-from .bruhat import BruhatInterval, interval, poincare_polynomial
+from .bruhat import BruhatInterval, interval
 from .coxeter import CoxeterSystem, Element
 from .cube import CubicalLattice
-from .polynomials import is_palindromic
+from .kl import all_trivial
 from .search import Cubulation, verify_certificate_detailed
 
 
@@ -211,7 +211,7 @@ def atilde2_trivial_enumeration(system: CoxeterSystem, max_length: int) -> list[
     out = []
     for layer in system.ball_layers(max_length):
         for y in layer:
-            if not is_palindromic(poincare_polynomial(interval(y))):
+            if not all_trivial(y):
                 continue
             rep = orbit.get(y)
             if rep is None:

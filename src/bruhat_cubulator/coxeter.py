@@ -455,16 +455,18 @@ class CoxeterSystem:
         So the involution check is derived, not dropped.  Odd parity makes
         u != v, so M_v != M_u; columns with equal root ids are zero in
         M_v - M_u, and the rest has rank 1 iff each is a multiple of the first.
+        The scalars lie in a domain, so a column c is a multiple of the first,
+        f, iff c[i] f[j0] = f[i] c[j0] for all i, at one j0 with f[j0] != 0.
         """
         if (u.length + v.length) % 2 == 0:
             return False
-        roots, n = self._roots, self.rank
+        roots, zero = self._roots, self._zero
         first, *rest = (
             [a - b for a, b in zip(roots[r], roots[q])] for r, q in zip(v.key, u.key) if r != q
         )
-        return all(
-            first[i] * c[j] == first[j] * c[i] for c in rest for j in range(n) for i in range(j)
-        )
+        j0 = next(j for j, a in enumerate(first) if a != zero)
+        f0 = first[j0]
+        return all(c[i] * f0 == a * c[j0] for c in rest for i, a in enumerate(first))
 
     def support(self, w: "Element") -> frozenset:
         return frozenset(self.labels[s] for s in set(w.iword))

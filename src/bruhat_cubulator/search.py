@@ -10,18 +10,19 @@ assignment that leaves such a vertex with no candidate is undone at once
 (forward checking; Ullmann, J. ACM 23, 1976).
 A cubulation is a rank-preserving bijection, and each lattice rank has
 as many vertices as its length band has ids, so each rank maps
-bijectively onto its band.  The search therefore keeps a perfect matching
-of the current rank's unassigned vertices onto the band's free ids, each
-within its candidate set, repairs it by one alternating path per
-assignment and undoes an assignment that leaves none (Regin's
-all-different filter, AAAI 1994).
+bijectively onto its band, and every bitset is local to one band.  The
+search keeps a perfect matching of the current rank's unassigned
+vertices onto the band's free ids, each within its candidate set,
+repairs it by one alternating path per assignment and undoes an
+assignment that leaves none (Regin's all-different filter, AAAI 1994).
 Candidates are consumed in increasing vertex id, which makes runs
 deterministic, makes a Found certificate the lexicographically least
-one, and lets a checkpoint consist of just the chosen-id path.  The
-symmetry rules (equal lattice parameters, diagram-automorphism orbits)
-keep that certificate; ``search`` gives the argument.  An element has at
-most one candidate shape, so ``search`` is a single serial search, and
-the one entry point: it binds a checkpoint to its job before replay.
+one, and lets a checkpoint consist of just the chosen-id path, which
+replays through the search's one loop.  The symmetry rules (equal
+lattice parameters, diagram-automorphism orbits) keep that certificate;
+``search`` gives the argument.  An element has at most one candidate
+shape, so ``search`` is a single serial search, and the one entry point:
+it binds a checkpoint to its job before replay.
 """
 
 from __future__ import annotations
@@ -74,15 +75,15 @@ def _shape_lattice(shape) -> CubicalLattice:
 
 
 def _orbit_minima(iv: BruhatInterval) -> int:
-    """Bitset of the generator ids in [1, y] least in their orbit under the
-    diagram automorphisms that fix y."""
+    """Bitset, local to length band 1 (bit id - 1), of the generator ids in
+    [1, y] least in their orbit under the diagram automorphisms that fix y."""
     sys, y = iv.system, iv.top
     group = [s for s in sys.diagram_automorphisms() if sys.diagram_automorphism(s, y) is y]
     mask = 0
     for a in sys.support(y):
         ids = [iv.index[sys.generator(s[a])] for s in group]
         if ids[0] == min(ids):  # group[0] is the identity
-            mask |= 1 << ids[0]
+            mask |= 1 << (ids[0] - 1)
     return mask
 
 
@@ -227,29 +228,25 @@ def search(
     nv = len(verts)
     vert_pos = {v: i for i, v in enumerate(verts)}
     preds = [[vert_pos[u] for u in lattice.predecessors(v)] for v in verts]
-    # up[u]: the interval vertices that cover u
-    n = len(iv)
-    up = [0] * n
+    # lattice rank k has as many positions as band k has ids, so position p
+    # has rank band[p], and bit i of its masks stands for id lo[p] + i
+    starts, band = iv._starts, iv.lengths
+    lo = [starts[k] for k in band]
+    end = [starts[k + 1] for k in band]
+    # up[u]: the interval vertices that cover u, in band ell(u) + 1
+    up = [0] * nv
     for u, v in iv.hasse_edges:
-        up[u] |= 1 << v
+        up[u] |= 1 << (v - starts[band[v]])
     minima = _orbit_minima(iv)
     # ready[p]: the vertices whose last predecessor in search order is p
     ready: list[list[int]] = [[] for _ in range(nv)]
     for r in range(1, nv):
         ready[max(preds[r])].append(r)
-    # end[p]: one past the last position of p's rank
-    end = [nv] * nv
-    for q in range(nv - 2, -1, -1):
-        end[q] = q + 1 if sum(verts[q]) < sum(verts[q + 1]) else end[q + 1]
 
     # sym_gt[e_i] = e_{i+1} for equal adjacent parameters: L(e_i) > L(e_{i+1})
-    sym_gt: dict[int, int] = {}
-    params = lattice.params
-    for i in range(len(params) - 1):
-        if params[i] == params[i + 1] and params[i] > 0:
-            e_i = tuple(1 if j == i else 0 for j in range(len(params)))
-            e_next = tuple(1 if j == i + 1 else 0 for j in range(len(params)))
-            sym_gt[vert_pos[e_i]] = vert_pos[e_next]
+    par = lattice.params
+    unit = [vert_pos.get(tuple(int(j == i) for j in range(len(par)))) for i in range(len(par))]
+    sym_gt = {unit[i]: unit[i + 1] for i in range(len(par) - 1) if par[i] == par[i + 1] > 0}
 
     assigned = [-1] * nv
     masks = [0] * nv
@@ -257,104 +254,95 @@ def search(
     # orbit minima only), filled when the last of them is assigned
     base = [0] * nv
     base[0] = 1  # the identity
-    used = 0
+    # used[k]: the ids of band k held by assigned positions
+    used = [0] * (len(starts) - 1)
     # match[q], for the unassigned q of the current rank: a perfect matching
-    # onto the band's free ids, match[q] in base[q] & ~used; owner inverts
-    # it.  An assigned p keeps match[p] = assigned[p], which nothing reads
-    # until p is undone and which then restores the matching.  Rank 0 starts
-    # matched: position 0 holds id 0, the identity.
+    # onto the band's free ids, match[q] in base[q] & ~used; owners[k]
+    # inverts it on band k.  An assigned p keeps match[p] = its id, which
+    # nothing reads until p is undone and which then restores the matching.
+    # Rank 0 starts matched: position 0 holds id 0, the identity.
     match = [0] * nv
-    owner = [0] * n
-    expansions = 0
-    prunes_forward = 0
-    prunes_matching = 0
+    owners = [[0] * (hi - a) for a, hi in zip(starts, starts[1:])]
+    expansions = prunes_forward = prunes_matching = 0
 
-    def candidates(p: int) -> int:
-        m = base[p] & ~used
-        g = sym_gt.get(p)
-        if g is not None:
-            m &= -1 << (assigned[g] + 1)
-        return m
+    # a checkpoint replays its path, then min_id, through the loop below:
+    # positions up to ``replay`` take only those ids, and are not counted
+    path, min_id = (checkpoint["path"], checkpoint["min_id"]) if checkpoint else ([], 0)
+    replay = len(path) if checkpoint else -1
+    stale = ValueError(
+        "checkpoint does not replay against this interval: it was written by another "
+        "job, or by an older version of the search whose pruning rules differ"
+    )
+    # an id outside its position's band is stale before any mask is shifted by it
+    if len(path) >= nv or not all(lo[d] <= i < end[d] for d, i in enumerate((*path, min_id))):
+        raise stale
 
-    def forward(p: int) -> bool:
-        """Fill base for ready[p]; False if one of them has no candidate left."""
-        free = ~used
+    status, cert, cp = EXHAUSTED, None, None
+    p, entered = 0, True
+    while p >= 0:
+        if entered:  # p's candidates: unused ids of base[p], past L(sym_gt[p])
+            m = base[p] & ~used[band[p]]
+            g = sym_gt.get(p)
+            if g is not None:
+                m &= -1 << (assigned[g] - lo[p] + 1)
+            if p <= replay:
+                i = (path[p] if p < replay else min_id) - lo[p]
+                m &= -1 << i
+                if not m >> i & 1:
+                    raise stale
+                if p == replay:
+                    replay = -1  # replayed: the search goes on from min_id
+            masks[p] = m
+            entered = False
+        m = masks[p]
+        if not m:
+            p -= 1
+            if p >= 0:
+                used[band[p]] ^= 1 << (assigned[p] - lo[p])
+            continue
+        b = m & -m
+        masks[p] = m ^ b
+        k = band[p]
+        i = b.bit_length() - 1
+        cid = lo[p] + i
+        if p >= replay:
+            if budget is not None and expansions >= budget:
+                status, cp = BUDGET_EXCEEDED, {**job, "path": assigned[:p], "min_id": cid}
+                break
+            expansions += 1
+        assigned[p] = cid
+        used[k] |= b
+        # forward checking: each vertex whose last predecessor is p keeps a
+        # candidate.  It lies in band k + 1, where no id is used yet, since
+        # the search runs in rank order, so base[r] itself must be nonzero.
         for r in ready[p]:
             m = minima if r == 1 else -1
             for q in preds[r]:
                 m &= up[assigned[q]]
             base[r] = m
-            if not m & free:
-                return False
-        return True
-
-    def assign(p: int, cid: int) -> bool:
-        """Assign cid to p, or undo it at once if a rule prunes it."""
-        nonlocal used, prunes_forward, prunes_matching
-        b = 1 << cid
-        assigned[p] = cid
-        used |= b
-        if not forward(p):
-            prunes_forward += 1
+            if not m:
+                prunes_forward += 1
+                break
         else:
-            o = owner[cid]
-            # cid's holder o must move, along an alternating path, to p's old id
-            if o == p or _augment(o, 1 << match[p], base, used, match, owner) >= 0:
-                match[p] = cid
-                owner[cid] = p
+            owner = owners[k]
+            o = owner[i]
+            # i's holder o must move, along an alternating path, to p's old id
+            if o == p or _augment(o, 1 << match[p], base, used[k], match, owner) >= 0:
+                match[p] = i
+                owner[i] = p
                 e = end[p]
-                if e > p + 1 or e == nv or _match_rank(e, end[e], base, match, owner):
-                    return True
+                if e > p + 1 or e == nv or _match_rank(e, end[e], base, match, owners[k + 1]):
+                    if p + 1 == nv:
+                        status = FOUND
+                        cert = Cubulation(lattice, {v: assigned[q] for q, v in enumerate(verts)})
+                        break
+                    p += 1
+                    entered = True
+                    continue
             prunes_matching += 1
-        used ^= b
-        return False
-
-    p = 0
-    if checkpoint is not None:
-        path, min_id = checkpoint["path"], checkpoint["min_id"]
-        stale = ValueError(
-            "checkpoint does not replay against this interval: it was written by another "
-            "job, or by an older version of the search whose pruning rules differ"
-        )
-        # an id past the interval is stale before any mask is shifted by it
-        if len(path) >= nv or not all(0 <= i < n for i in (*path, min_id)):
+        used[k] ^= b
+        if p < replay:
             raise stale
-        for depth, cid in enumerate(path):
-            m = candidates(depth)
-            if not (m >> cid) & 1 or not assign(depth, cid):
-                raise stale
-            masks[depth] = m & (-1 << (cid + 1))
-        p = len(path)
-        # min_id replays like one more path entry, still to be tried
-        masks[p] = candidates(p) & (-1 << min_id)
-        if not (masks[p] >> min_id) & 1:
-            raise stale
-    else:
-        masks[0] = candidates(0)
-
-    status, cert, cp = EXHAUSTED, None, None
-    while p >= 0:
-        m = masks[p]
-        if m:
-            b = m & -m
-            cid = b.bit_length() - 1
-            if budget is not None and expansions >= budget:
-                status, cp = BUDGET_EXCEEDED, {**job, "path": assigned[:p], "min_id": cid}
-                break
-            masks[p] = m ^ b
-            expansions += 1
-            if not assign(p, cid):
-                continue
-            if p + 1 == nv:
-                status = FOUND
-                cert = Cubulation(lattice, {v: assigned[i] for i, v in enumerate(verts)})
-                break
-            p += 1
-            masks[p] = candidates(p)
-        else:
-            p -= 1
-            if p >= 0:
-                used &= ~(1 << assigned[p])
     stats = _stats(expansions, 1, prunes_forward, prunes_matching)
     return SearchOutcome(status, cert, stats, cp)
 

@@ -10,6 +10,7 @@ from bruhat_cubulator import constructions as cx
 from bruhat_cubulator.constructions import y_m
 from bruhat_cubulator.coxeter import CoxeterSystem, build_system
 from bruhat_cubulator.kl import all_trivial
+from bruhat_cubulator.search import FOUND, search
 from conftest import system
 
 # integer, ring (H3, I2(m)) and affine tiers; a word, "w0" or "y_m:<m>"
@@ -74,14 +75,16 @@ class TestEdges:
             assert b3.is_reflection(t)
             assert u * t is v
 
-    def test_hasse_is_length_one_sublist(self, a3):
-        iv = interval(a3.longest_element())
-        expected = [
-            (u, v)
-            for u, v, _ in iv.bruhat_edges
-            if iv.lengths[v] == iv.lengths[u] + 1
-        ]
-        assert iv.hasse_edges == expected
+    def test_hasse_is_length_one_sublist(self):
+        # the lifting recursion against the length-one edges of the edge step
+        for tag, word in CASES + [("A3", "w0")]:
+            iv = interval(case_element(tag, word))
+            expected = [
+                (u, v)
+                for u, v, _ in iv.bruhat_edges
+                if iv.lengths[v] == iv.lengths[u] + 1
+            ]
+            assert iv.hasse_edges == expected, (tag, word)
 
     @pytest.mark.parametrize("tag,word", CASES)
     def test_bruhat_edges_complete(self, tag, word):
@@ -115,7 +118,8 @@ class TestEdges:
 
 class TestLazyEdges:
     """The edge step, the one reader of ``_reflections``, runs only when
-    ``bruhat_edges`` or ``hasse_edges`` is read."""
+    ``bruhat_edges`` is read: the Hasse edges, the lower-interval masks and
+    the search come from the lifting property."""
 
     @pytest.fixture
     def no_edge_step(self, monkeypatch):
@@ -132,8 +136,11 @@ class TestLazyEdges:
         assert all_trivial(build_system("B3").longest_element())
         iv = interval(build_system("B3").longest_element())
         assert poincare_polynomial(iv) == IntPoly((1, 3, 5, 7, 8, 8, 7, 5, 3, 1))
+        assert len(iv.hasse_edges) == 138
+        assert iv.below_masks[-1] == (1 << len(iv)) - 1
+        assert search(iv).status == FOUND
         with pytest.raises(AssertionError, match="edge step"):
-            iv.hasse_edges
+            iv.bruhat_edges
 
     def test_edges_are_built_once(self, a3):
         iv = interval(a3.longest_element())

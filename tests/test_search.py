@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import tracemalloc
 
 import pytest
@@ -115,16 +117,27 @@ class TestSearch:
             search(iv, checkpoint=dict(cp, path=[10**8], min_id=0))
 
     @pytest.mark.parametrize(
-        "tag,nodes",
-        [("A4", 124), ("B3", 800), ("H3", 165), ("D4", 227)],
-        ids=["A4", "B3", "H3", "D4"],
+        "tag,status,nodes,forward,matching",
+        [
+            ("A4", FOUND, 124, 0, 4),
+            ("B3", FOUND, 800, 20, 173),
+            ("H3", FOUND, 165, 1, 11),
+            ("D4", FOUND, 227, 1, 13),
+            ("B4", FOUND, 29_904, 595, 4_996),
+            ("D5", FOUND, 18_963, 410, 2_771),
+            ("F4", EXHAUSTED, 56_049, 2_088, 10_168),
+        ],
+        ids=["A4", "B3", "H3", "D4", "B4", "D5", "F4"],
     )
-    def test_node_counts(self, tag, nodes):
+    def test_node_counts(self, tag, status, nodes, forward, matching):
         # node counts are behaviour: a change to the candidate sets or the
-        # pruning rules moves them
+        # pruning rules moves them, and the prune counts pin each rule's
+        # decisions
         out = cubulate(system(tag).longest_element())
-        assert out.status == FOUND
+        assert out.status == status
         assert out.stats["nodes_expanded"] == nodes
+        assert out.stats["prunes_forward"] == forward
+        assert out.stats["prunes_matching"] == matching
 
     def test_equal_parameters_order_the_unit_vectors(self):
         # D4 w0 has shape (2, 4, 4, 6), lattice C(1, 3, 3, 5): e_1 and e_2
@@ -186,6 +199,31 @@ class TestSearch:
         assert rest.status == FOUND
         assert rest.certificate.assignment == full.certificate.assignment
         assert first.stats["nodes_expanded"] + rest.stats["nodes_expanded"] == 29_904
+
+    def test_b4_checkpoint_of_search_rules_2_resumes(self):
+        # a checkpoint written at 10,000 nodes by an earlier implementation
+        # of the same rules (SEARCH_RULES 2) resumes to its certificate and
+        # to the full count
+        iv = interval(system("B4").longest_element())
+        cp = dict(
+            search(iv, budget=1).checkpoint,
+            path=[
+                0, 1, 4, 3, 2, 8, 7, 13, 6, 12, 9, 5, 10, 11, 14, 22, 19, 29, 26, 18, 28,
+                21, 24, 15, 20, 16, 25, 17, 27, 23, 31, 32, 44, 39, 53, 36, 50, 38, 52, 45,
+                43, 47, 40, 34, 30, 41, 35, 48, 49, 37, 51, 42, 46, 33, 56, 57, 58, 74, 85,
+                67, 59, 64, 82,
+            ],
+            min_id=66,
+        )
+        rest = search(iv, checkpoint=cp)
+        assert rest.status == FOUND
+        assert 10_000 + rest.stats["nodes_expanded"] == 29_904
+        cert = rest.certificate
+        ids = [cert.assignment[v] for v in cert.lattice.vertices()]
+        # SHA-256 of the JSON list of ids in lattice vertex order
+        assert hashlib.sha256(json.dumps(ids).encode()).hexdigest() == (
+            "eb7da8789517ed5551922ec5e7495cec84cf278044e58d739d696bfb07173a57"
+        )
 
 
 class TestCheckpointBinding:
