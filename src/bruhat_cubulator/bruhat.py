@@ -12,19 +12,19 @@ table.  Element objects are made only for the vertices.
 - Canonical words, in length order: the first letter of the
   lexicographically first reduced word of u is its smallest left descent
   s, found by looking s*u up one length down; the rest is the word of s*u.
-- Hasse edges, built on the first read of ``hasse_edges``, from the
-  lifting property (same reference), one lookup per cover of s*v.
-- Bruhat edges, built on the first read of ``bruhat_edges``: each vertex
-  carries the images of the roots the edge step needs, one lookup per
-  root from the vertex s*u below it.  For a reflection t with root beta,
-  u -> ut goes up iff u(beta) > 0, and the key of ut is read off the
-  images of t(alpha_1), ..., t(alpha_n).  Level sizes, and so the
-  Poincare polynomial, need only the vertices.
+- Edges, from one recursion on the id-level generator action: by strong
+  exchange (same reference, Ch. 1) the u -> v below v are the l(v)
+  distinct one-letter deletions of v's canonical word, and those of v are
+  s*v and s times those of s*v.  ``hasse_edges`` keeps the deletions one
+  length down; ``bruhat_edges`` keeps all of them, labelled by the
+  reflection each deletion removes.  Level sizes, and so the Poincare
+  polynomial, need only the vertices.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import repeat
 
 from .coxeter import CoxeterSystem, Element
 from .polynomials import IntPoly
@@ -34,9 +34,15 @@ class BruhatInterval:
     """The interval [1, y] with its Hasse diagram and Bruhat graph.
 
     Vertices carry dense ids assigned in (length, canonical word) order, so
-    id 0 is the identity and the last id is y.  ``bruhat_edges`` holds
-    triples (u_id, v_id, t) with t the reflection u^-1 v; it, ``hasse_edges``
-    and ``below_masks`` are built on first read.
+    id 0 is the identity and the last id is y; ``key_ids`` maps each key to
+    its id, and the ids of length l run from ``starts[l]`` to
+    ``starts[l + 1] - 1``.  Per id u: ``lengths[u]``;
+    ``letter[u]``, the smallest left descent s of u (the first letter of its
+    canonical word), and ``below[u]``, the id of s*u (-1 at the identity);
+    and ``action[s][u]``, the id of s*u, or -1 when s*u is outside [1, y].
+    ``bruhat_edges`` holds triples (u_id, v_id, t) with t the reflection
+    u^-1 v; it, ``hasse_edges``, ``below_masks`` and ``action`` are built
+    on first read.
     """
 
     def __init__(self, system: CoxeterSystem, top: Element):
@@ -44,71 +50,79 @@ class BruhatInterval:
             raise ValueError("top element from a different system")
         self.system = system
         self.top = top
-        self.vertices, self.key_ids, self.letter, self.below, self._starts = (
+        self.vertices, self.key_ids, self.letter, self.below, self.starts = (
             system._sorted_elements(_subword_closure(system, top.iword))
         )
-        # key_ids: the id of each key; letter[u] and below[u]: the smallest
-        # left descent s of u and the id of s*u, the steps of ``kl``'s R recursion
         self.index = {el: i for i, el in enumerate(self.vertices)}
         self.lengths = [el.length for el in self.vertices]
 
     # -- derived structure, built on first read ------------------------------
 
     @cached_property
-    def bruhat_edges(self) -> list[tuple]:
-        """The edge step, on the images of the needed roots, one length at a time.
+    def action(self) -> list[list[int]]:
+        left, ids, keys = self.system._left, self.key_ids, [el.key for el in self.vertices]
+        return [[ids.get(left(s, k), -1) for k in keys] for s in range(self.system.rank)]
 
-        An edge label t = u^-1 v has ell(t) <= ell(u) + ell(v) < 2 ell(y).
+    def _deletions(self) -> list[list[int]]:
+        """For each id v, the ids of the l(v) one-letter deletions of v's word.
+
+        Entry i deletes letter i + 1.  With s = letter[v], deleting the first
+        letter leaves s*v, and deleting a later one leaves s*x for x the
+        same deletion from the word of s*v.  Every deletion lies below v,
+        so in [1, y].  By strong exchange they are distinct, and they are
+        the u < v with u^-1 v a reflection.
         """
-        sys, ids, letter, below, starts = (
-            self.system, self.key_ids, self.letter, self.below, self._starts
-        )
-        left, sign = sys._left, sys._root_sign
-        reflections = sys._reflections(self.top.length)
-        needed = sorted({r for _, rid, tkey in reflections for r in (rid, *tkey)})
-        at = {r: j for j, r in enumerate(needed)}
-        tests = [(at[rid], tuple(at[r] for r in tkey), t) for t, rid, tkey in reflections]
+        action, letter, below = self.action, self.letter, self.below
+        out = [[]]
+        for v in range(1, len(self.vertices)):
+            act = action[letter[v]]
+            out.append([below[v], *map(act.__getitem__, out[below[v]])])
+        return out
+
+    @cached_property
+    def bruhat_edges(self) -> list[tuple]:
+        """Every u -> v from the deletions, in (u, v) order.
+
+        Deleting letter i + 1 of v's word removes the reflection of the
+        edge s*x -> x, for x = below^i(v) and s = letter[x]: with w = s*x,
+        it is w^-1 s w, whose root w^-1(alpha_s) is w's letters applied to
+        alpha_s, first letter first.
+        """
+        sys, letter, below, vertices = self.system, self.letter, self.below, self.vertices
+        act_id = sys._act_id
+        by_root = {}
+        labels = [None]  # labels[x]: the reflection of the edge s*x -> x
+        for x in range(1, len(vertices)):
+            s, word = letter[x], vertices[below[x]].iword
+            r = s
+            for a in word:
+                r = act_id(a, r)
+            t = by_root.get(r)
+            if t is None:
+                t = by_root[r] = sys._from_word(word[::-1] + (s,) + word)
+            labels.append(t)
+        up, up_labels = [[] for _ in vertices], [[] for _ in vertices]
+        for v, deleted in enumerate(self._deletions()):
+            x = v
+            for u in deleted:
+                up[u].append(v)
+                up_labels[u].append(labels[x])
+                x = below[x]
         edges = []
-        images = [tuple(needed)]
-        for l in range(self.top.length + 1):
-            lo, hi = starts[l], starts[l + 1]
-            if l:
-                prev = starts[l - 1]
-                images = [left(letter[u], images[below[u] - prev]) for u in range(lo, hi)]
-            for u in range(lo, hi):
-                img = images[u - lo]
-                out = []
-                for b, tkey, t in tests:
-                    if sign[img[b]] > 0:
-                        v = ids.get(tuple(map(img.__getitem__, tkey)))
-                        if v is not None:
-                            out.append((v, t))
-                out.sort()
-                edges.extend((u, v, t) for v, t in out)
+        for u, vs in enumerate(up):
+            edges += zip(repeat(u), vs, up_labels[u])
+            up[u] = up_labels[u] = None  # so the lists do not outlive their triples
         return edges
 
     @cached_property
     def hasse_edges(self) -> list[tuple]:
-        """The Bruhat edges (u, v) with ell(v) = ell(u) + 1, in (u, v) order.
-
-        Let s = letter[v], a left descent of v.  A u covered by v other than
-        s*v has su < u, or else lifting gives u <= s*v, so u = s*v; then
-        su <= s*v, and su is covered by s*v.  Conversely, if x is covered by
-        s*v and sx > x, lifting gives sx <= v.  So the covers of v are s*v
-        and the s*x of length ell(v) - 1, for x covered by s*v.
-        """
-        left, ids, starts, lengths = self.system._left, self.key_ids, self._starts, self.lengths
-        keys = [el.key for el in self.vertices]
-        down = [[]]  # down[v]: the ids covered by v
-        up = [[] for _ in keys]
-        for v in range(1, len(keys)):
-            s, sv = self.letter[v], self.below[v]
-            lo = starts[lengths[v] - 1]
-            # sx is of length ell(v) - 1 or ell(v) - 3, so ids tell them apart
-            covered = [sv, *(u for u in (ids[left(s, keys[x])] for x in down[sv]) if u >= lo)]
-            down.append(covered)
-            for u in covered:
-                up[u].append(v)
+        """The deletions u -> v with l(u) = l(v) - 1, in (u, v) order."""
+        lengths = self.lengths
+        up = [[] for _ in self.vertices]
+        for v, deleted in enumerate(self._deletions()):
+            for u in deleted:
+                if lengths[u] == lengths[v] - 1:
+                    up[u].append(v)
         return [(u, v) for u, vs in enumerate(up) for v in vs]
 
     def __len__(self):

@@ -180,10 +180,6 @@ class CoxeterSystem:
         self._init_action()
         self._init_roots()
         self._elements: dict[tuple, Element] = {}
-        self._refl: list[tuple] = []
-        self._refl_ends: list[int] = []
-        self._refl_seen: set[int] = set()
-        self._refl_frontier: list = []
         self._longest = None
 
     def m(self, a, b):
@@ -569,39 +565,28 @@ class CoxeterSystem:
     # -- reflections --------------------------------------------------------
 
     def reflections_up_to(self, depth: int) -> list:
-        """All reflections t with ell(t) <= 2*depth - 1, as Elements."""
-        return [t for t, _, _ in self._reflections(depth)]
+        """All reflections t with ell(t) <= 2*depth - 1, as Elements.
 
-    def _reflections(self, depth: int) -> list:
-        """Triples (t, root id of t, key of t) for ell(t) <= 2*depth - 1.
-
-        Enumerated by breadth-first search over positive root ids; the
-        depth of a root equals (ell(t) + 1) / 2 for its reflection t.
-        Results are cached and extended incrementally.
+        Breadth first over positive root ids from the simple roots: a root
+        first met at depth k is s_1 ... s_(k-1)(alpha_s), its reflection is
+        s_1 ... s_(k-1) s s_(k-1) ... s_1, and the depth of a root equals
+        (ell(t) + 1) / 2 for its reflection t.
         """
-        if not self._refl_ends:
-            for s in range(self.rank):
-                t = self._from_word((s,))
-                self._refl.append((t, s, t.key))
-                self._refl_seen.add(s)
-                self._refl_frontier.append((s, (s,)))
-            self._refl_ends.append(len(self._refl))
-        while len(self._refl_ends) < depth and self._refl_frontier:
-            new_layer = []
-            for rid, path in self._refl_frontier:
+        sign, out, seen = self._root_sign, [], set(range(self.rank))
+        layer = [(s, (s,)) for s in range(self.rank)]
+        for k in range(depth):
+            out += [self._from_word(path + path[-2::-1]) for _, path in layer]
+            if k + 1 == depth:
+                break
+            nxt = []
+            for rid, path in layer:
                 for i in range(self.rank):
-                    nr = self._act_id(i, rid)
-                    if nr == rid or nr in self._refl_seen or self._root_sign[nr] < 0:
-                        continue
-                    npath = (i,) + path
-                    self._refl_seen.add(nr)
-                    new_layer.append((nr, npath))
-                    t = self._from_word(npath + npath[-2::-1])
-                    self._refl.append((t, nr, t.key))
-            self._refl_frontier = new_layer
-            self._refl_ends.append(len(self._refl))
-        reached = min(depth, len(self._refl_ends))
-        return self._refl[: self._refl_ends[reached - 1]] if reached > 0 else []
+                    r = self._act_id(i, rid)
+                    if r not in seen and sign[r] > 0:
+                        seen.add(r)
+                        nxt.append((r, (i,) + path))
+            layer = nxt
+        return out
 
     # -- balls --------------------------------------------------------------
 

@@ -72,9 +72,9 @@ class KLTable:
 
         With s the smallest left descent of y', R_{x,y'} = R_{sx,sy'} when
         s is a left descent of x, else q R_{sx,sy'} + (q-1) R_{x,sy'}.  For
-        x <= y' both sx and sy' lie in [1, y'] (the lifting property), and
-        s*y' is the build's ``below`` entry; sx <= sy' in the first case
-        and x <= sy' in the second, again by lifting.
+        x <= y' both sx and sy' lie in [1, y'] (the lifting property): s*y'
+        is the build's ``below`` entry and s*x its ``action`` entry.  sx <=
+        sy' in the first case and x <= sy' in the second, again by lifting.
         """
         if x_id == y_id:
             return (1,)
@@ -82,7 +82,7 @@ class KLTable:
         if res is None:
             iv = self.interval
             s, sy = iv.letter[y_id], iv.below[y_id]
-            sx = iv.key_ids[iv.system._left(s, iv.vertices[x_id].key)]
+            sx = iv.action[s][x_id]
             if iv.lengths[sx] < iv.lengths[x_id]:
                 res = self._r_coeffs(sx, sy)
             else:

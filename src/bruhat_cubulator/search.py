@@ -230,7 +230,7 @@ def search(
     preds = [[vert_pos[u] for u in lattice.predecessors(v)] for v in verts]
     # lattice rank k has as many positions as band k has ids, so position p
     # has rank band[p], and bit i of its masks stands for id lo[p] + i
-    starts, band = iv._starts, iv.lengths
+    starts, band = iv.starts, iv.lengths
     lo = [starts[k] for k in band]
     end = [starts[k + 1] for k in band]
     # up[u]: the interval vertices that cover u, in band ell(u) + 1

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import pytest
 
-from bruhat_cubulator.bruhat import interval, poincare_polynomial
+from collections import Counter
+
+from bruhat_cubulator.bruhat import BruhatInterval, interval, poincare_polynomial
 from bruhat_cubulator.polynomials import IntPoly
 
 import oracles
 from bruhat_cubulator import constructions as cx
 from bruhat_cubulator.constructions import y_m
-from bruhat_cubulator.coxeter import CoxeterSystem, build_system
+from bruhat_cubulator.coxeter import build_system
 from bruhat_cubulator.kl import all_trivial
 from bruhat_cubulator.search import FOUND, search
 from conftest import system
@@ -76,13 +78,16 @@ class TestEdges:
             assert u * t is v
 
     def test_hasse_is_length_one_sublist(self):
-        # the lifting recursion against the length-one edges of the edge step
+        # the pairs u <= v one length apart, decided by lifting along v's
+        # word (CoxeterSystem.bruhat_leq), not by the deletion recursion
         for tag, word in CASES + [("A3", "w0")]:
             iv = interval(case_element(tag, word))
+            leq, vs, lengths = iv.system.bruhat_leq, iv.vertices, iv.lengths
             expected = [
                 (u, v)
-                for u, v, _ in iv.bruhat_edges
-                if iv.lengths[v] == iv.lengths[u] + 1
+                for u in range(len(vs))
+                for v in range(len(vs))
+                if lengths[v] == lengths[u] + 1 and leq(vs[u], vs[v])
             ]
             assert iv.hasse_edges == expected, (tag, word)
 
@@ -99,6 +104,9 @@ class TestEdges:
                     expected.add((u_id, v_id, t))
         assert set(iv.bruhat_edges) == expected
         assert len(iv.bruhat_edges) == len(expected)
+        # strong exchange: v has one in-edge per letter of a reduced word
+        in_degree = Counter(v for _, v, _ in iv.bruhat_edges)
+        assert [in_degree[v] for v in range(len(iv))] == iv.lengths
 
     def test_out_degrees_a2(self, a2):
         iv = interval(a2.longest_element())
@@ -117,33 +125,32 @@ class TestEdges:
 
 
 class TestLazyEdges:
-    """The edge step, the one reader of ``_reflections``, runs only when
-    ``bruhat_edges`` is read: the Hasse edges, the lower-interval masks and
-    the search come from the lifting property."""
+    """The action table and the deletion recursion run only when an edge
+    list is read, and the labelled edges only when ``bruhat_edges`` is."""
 
-    @pytest.fixture
-    def no_edge_step(self, monkeypatch):
-        def refuse(self, depth):
-            raise AssertionError("the edge step ran")
+    def test_level_sizes_and_constructions_build_no_edges(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the edge recursion ran")
 
-        monkeypatch.setattr(CoxeterSystem, "_reflections", refuse)
-
-    def test_level_sizes_and_constructions_build_no_edges(self, no_edge_step):
-        atilde2 = build_system("Atilde2")
-        assert len(cx.atilde2_trivial_enumeration(atilde2, 8)) > 0
-        result = cx.atilde2_cubulation(atilde2, 4)
-        assert len(result.interval) == 90
-        assert all_trivial(build_system("B3").longest_element())
-        iv = interval(build_system("B3").longest_element())
-        assert poincare_polynomial(iv) == IntPoly((1, 3, 5, 7, 8, 8, 7, 5, 3, 1))
+        atilde2, b3 = build_system("Atilde2"), build_system("B3")
+        with monkeypatch.context() as patch:
+            patch.setattr(BruhatInterval, "action", property(refuse))
+            patch.setattr(BruhatInterval, "_deletions", refuse)
+            assert len(cx.atilde2_trivial_enumeration(atilde2, 8)) > 0
+            assert len(cx.atilde2_cubulation(atilde2, 4).interval) == 90
+            assert all_trivial(b3.longest_element())
+            iv = interval(b3.longest_element())
+            assert poincare_polynomial(iv) == IntPoly((1, 3, 5, 7, 8, 8, 7, 5, 3, 1))
+            with pytest.raises(AssertionError, match="edge recursion"):
+                iv.hasse_edges
         assert len(iv.hasse_edges) == 138
         assert iv.below_masks[-1] == (1 << len(iv)) - 1
         assert search(iv).status == FOUND
-        with pytest.raises(AssertionError, match="edge step"):
-            iv.bruhat_edges
+        assert "bruhat_edges" not in iv.__dict__
 
     def test_edges_are_built_once(self, a3):
         iv = interval(a3.longest_element())
+        assert iv.action is iv.action
         assert iv.hasse_edges is iv.hasse_edges
         assert iv.bruhat_edges is iv.bruhat_edges
         assert iv.below_masks is iv.below_masks

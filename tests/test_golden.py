@@ -37,6 +37,18 @@ GOLDEN = [
         "c3427a3cc14949f03586711c174708118a55b42d297b054fd3bf32cf9f3f8d94",
     ),
     (
+        # affine edge labels
+        ("interval", "--system", "Atilde2", "--element", "y_m:4"),
+        0,
+        "4cf355a51e48497635bf25bb4ee50bef54af50fefa2b3c6e5c95a907aece08fb",
+    ),
+    (
+        # dihedral edge labels in the ring tier
+        ("interval", "--system", "I2(7)", "--element", "w0"),
+        0,
+        "34ed5e3724c6937abe74fe9274f6b9c6204f9b52cbdcc2585275a7be1380f6dd",
+    ),
+    (
         ("kl", "--system", "A3", "--word", "2 1 3 2"),
         0,
         "b2435b017f44bce20f06512d230965fff7ff85875e24a138b593f4e0c14afaa8",

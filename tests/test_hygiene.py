@@ -1,5 +1,6 @@
-"""Source hygiene: no unused imports, an export list that matches the package's
-lazy export table, and one serialization path.
+"""Source hygiene: no unused imports, no private function that nothing in the
+package calls, an export list that matches the package's lazy export table,
+and one serialization path.
 
 The unused-import check reads the source with the standard library's ``ast``.
 An import statement marked ``# noqa: F401`` is exempt from the unused-import
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -74,6 +76,41 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", _SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def _private_functions(tree: ast.Module) -> list[ast.FunctionDef]:
+    """The module's ``_name`` functions and methods, dunder methods excluded."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often each name is read, as a bare name or as an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def test_no_orphan_private_functions():
+    """Every private function or method in the package is read somewhere in the
+    package outside its own body, so code that only tests reach is public."""
+    package = sorted((_ROOT / "src" / "bruhat_cubulator").glob("*.py"))
+    trees = {p.name: ast.parse(p.read_text()) for p in package}
+    refs = sum((_references(tree) for tree in trees.values()), Counter())
+    orphans = [
+        f"{name}:{fn.lineno}: {fn.name}"
+        for name, tree in trees.items()
+        for fn in _private_functions(tree)
+        if refs[fn.name] == _references(fn)[fn.name]
+    ]
+    assert orphans == []
 
 
 def test_all_matches_the_package_imports():
