@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import re
+import stat
 import sys
 from itertools import accumulate
 from pathlib import Path
@@ -137,7 +138,7 @@ def _resolve_element(system: CoxeterSystem, args) -> Element:
 
 def _emit(text: str, out: str | None):
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write_file(Path(out), text)
         return
     buffer = getattr(sys.stdout, "buffer", None)
     if buffer is None:  # a text-only stream, such as a StringIO
@@ -152,13 +153,40 @@ def _emit(text: str, out: str | None):
     buffer.flush()
 
 
+def _write_file(path: Path, text: str):
+    """Write ``text`` to ``path`` so that a failed or interrupted write leaves
+    the previous file whole: through a temp file beside the file a symlink
+    names, renamed into place with the old file's mode.  A target that is
+    not a plain file (a device such as /dev/null, a FIFO, /dev/fd/N) or
+    that has other hard links cannot be replaced, and is written in place."""
+    try:
+        old = path.stat()
+    except FileNotFoundError:
+        old = None
+    if old is not None and (not stat.S_ISREG(old.st_mode) or old.st_nlink > 1):
+        path.write_text(text, encoding="utf-8")
+        return
+    target = Path(os.path.realpath(path))
+    tmp = target.with_name(f".{target.name}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        if old is not None:
+            tmp.chmod(stat.S_IMODE(old.st_mode))
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _cmd_interval(args) -> int:
     system = build_system(args.system)
     iv = interval(_resolve_element(system, args))
     if args.format == "dot":
         _emit(serialize.interval_dot(iv), args.out)
-    else:
-        _emit(serialize.dumps(serialize.interval_doc(iv)), args.out)
+        return 0
+    doc = serialize.interval_doc(iv)
+    del iv  # so that its edge lists are freed before the text is built
+    _emit(serialize.dumps(doc), args.out)
     return 0
 
 
@@ -167,7 +195,9 @@ def _cmd_kl(args) -> int:
 
     system = build_system(args.system)
     table = KLTable(interval(_resolve_element(system, args)))
-    _emit(serialize.dumps(serialize.kl_doc(table)), args.out)
+    doc = serialize.kl_doc(table)
+    del table  # so that its memo tables and interval are freed before the text is built
+    _emit(serialize.dumps(doc), args.out)
     return 0
 
 
@@ -186,18 +216,6 @@ def _read_checkpoint(path: Path, iv) -> dict:
     return checkpoint
 
 
-def _write_checkpoint(path: Path, checkpoint: dict):
-    """Write through a temp file beside ``path`` and rename it into place,
-    so that an interrupted write leaves the previous checkpoint whole."""
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        tmp.write_text(serialize.dumps(serialize.checkpoint_doc(checkpoint)), encoding="utf-8")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _cmd_cubulate(args) -> int:
     from . import search
 
@@ -208,7 +226,7 @@ def _cmd_cubulate(args) -> int:
     outcome = search.search(iv, budget=args.budget, checkpoint=checkpoint)
     # the checkpoint first: a job whose checkpoint cannot be written prints nothing
     if outcome.status == search.BUDGET_EXCEEDED and path:
-        _write_checkpoint(path, outcome.checkpoint)
+        _write_file(path, serialize.dumps(serialize.checkpoint_doc(outcome.checkpoint)))
     _emit(serialize.dumps(serialize.outcome_doc(iv, outcome)), args.out)
     return _EXIT[outcome.status]
 

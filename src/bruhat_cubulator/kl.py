@@ -25,6 +25,7 @@ from .coxeter import Element
 from .polynomials import IntPoly, ONE, ZERO, is_palindromic
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
     from fractions import Fraction
 
 
@@ -160,6 +161,21 @@ class KLTable:
             groups[p] = groups.get(p, 0) | 1 << x_id
         self._columns[y_id] = col
         return col
+
+    def pairs(self) -> Iterator[tuple[int, int, tuple, tuple]]:
+        """(x_id, y_id, P_{x,y'}, R_{x,y'}) for every pair x <= y' of the
+        interval, y' by id and then x by id, P and R as coefficient tuples.
+
+        Each is read from the memo, or computed once into it.
+        """
+        r_coeffs = self._r_coeffs
+        for y_id, below in enumerate(self.interval.below_masks):
+            column = self._column(y_id)
+            while below:
+                low = below & -below
+                x_id = low.bit_length() - 1
+                below ^= low
+                yield x_id, y_id, column[x_id], r_coeffs(x_id, y_id)
 
     def top_column(self) -> list[IntPoly]:
         """P_{x,y} for every x in the interval, with y the interval top."""

@@ -3,7 +3,9 @@
 Documents carry a top-level ``schema`` key.  Words are arrays of integer
 generator labels, never digit strings.  A serialized search outcome
 carries its status and node counts, so identical jobs produce
-byte-identical output.
+byte-identical output.  Few distinct values fill the largest columns, so
+the interval document holds one list per distinct reflection label and
+the KL document one per distinct P or R coefficient tuple.
 
 ``dumps(doc)`` equals ``json.dumps(doc, sort_keys=True, indent=2) + "\n"``
 byte for byte on every input; that standard-library call stays the test
@@ -133,6 +135,8 @@ def _records(items, keys: list[str], level: int) -> list[str]:
 
 
 def interval_doc(iv: BruhatInterval) -> dict:
+    # few reflections label many edges: one word list per reflection
+    words = {t: list(t.word) for t in set(map(itemgetter(2), iv.bruhat_edges))}
     return {
         "schema": SCHEMA,
         "kind": "interval",
@@ -144,7 +148,7 @@ def interval_doc(iv: BruhatInterval) -> dict:
         ],
         "hasse_edges": [[u, v] for u, v in iv.hasse_edges],
         "bruhat_edges": [
-            {"source": u, "target": v, "reflection": list(t.word)}
+            {"source": u, "target": v, "reflection": words[t]}
             for u, v, t in iv.bruhat_edges
         ],
     }
@@ -179,21 +183,19 @@ def report_doc(report: CPReport) -> dict:
 
 
 def kl_doc(table: KLTable) -> dict:
+    """The table's P and R at every pair x <= y; few distinct polynomials
+    fill the pairs, so each coefficient tuple gets one list."""
     iv = table.interval
-    pairs = []
-    for y_id, below in enumerate(iv.below_masks):
-        while below:
-            low = below & -below
-            x_id = low.bit_length() - 1
-            below ^= low
-            pairs.append(
-                {
-                    "x": x_id,
-                    "y": y_id,
-                    "P": list(table.P(x_id, y_id).coeffs),
-                    "R": list(table.R(x_id, y_id).coeffs),
-                }
-            )
+    lists, pairs = {}, []
+    for x_id, y_id, p, r in table.pairs():
+        pairs.append(
+            {
+                "x": x_id,
+                "y": y_id,
+                "P": lists.get(p) or lists.setdefault(p, list(p)),
+                "R": lists.get(r) or lists.setdefault(r, list(r)),
+            }
+        )
     return {
         "schema": SCHEMA,
         "kind": "kl-table",

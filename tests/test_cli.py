@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from functools import partial
 
 import pytest
 
@@ -96,6 +98,86 @@ class TestInterval:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert target.read_bytes() == out.encode("utf-8")
+
+    def test_out_file_failing_part_way_keeps_the_old_one(self, tmp_path):
+        # a file-size limit stops the write after 4096 bytes of the 0.2 MB
+        # document, as a full disk would: the old file keeps its bytes and
+        # no temp file is left
+        target = tmp_path / "iv.json"
+        target.write_bytes(b"old bytes\n")
+        script = "\n".join(
+            [
+                "import resource, signal, sys",
+                "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)",
+                "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))",
+                "from bruhat_cubulator.cli import main",
+                f"sys.exit(main(['interval', '--system', 'D4', '--element', 'w0', '--out', {str(target)!r}]))",
+            ]
+        )
+        src = os.path.dirname(os.path.dirname(bruhat_cubulator.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "too large" in proc.stderr
+        assert target.read_bytes() == b"old bytes\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["iv.json"]
+
+    def test_out_symlink_writes_the_file_it_names(self, capsys, tmp_path):
+        argv = ("interval", "--system", "A3", "--element", "w0")
+        code, expected, _ = run(capsys, *argv)
+        real, link = tmp_path / "real.json", tmp_path / "link.json"
+        real.write_bytes(b"old bytes\n")
+        real.chmod(0o640)
+        link.symlink_to(real)
+        code, out, _ = run(capsys, *argv, "--out", str(link))
+        assert code == 0 and out == ""
+        assert link.is_symlink() and link.resolve() == real
+        assert real.read_bytes() == expected.encode("utf-8")
+        assert real.stat().st_mode & 0o777 == 0o640
+        assert sorted(tmp_path.iterdir()) == [link, real]
+
+    def test_out_hard_link_is_written_in_place(self, capsys, tmp_path):
+        # a rename would part the two names: both keep naming the document
+        argv = ("interval", "--system", "A3", "--element", "w0")
+        code, expected, _ = run(capsys, *argv)
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        first.write_bytes(b"old bytes\n")
+        second.hardlink_to(first)
+        code, out, _ = run(capsys, *argv, "--out", str(second))
+        assert code == 0 and out == ""
+        assert first.read_bytes() == second.read_bytes() == expected.encode("utf-8")
+        assert first.samefile(second)
+
+    def test_out_fifo_is_written_in_place(self, capsys, tmp_path):
+        # a FIFO (like /dev/null, /dev/stdout or a process substitution) cannot
+        # be renamed over: its reader gets the document
+        argv = ("interval", "--system", "A3", "--element", "w0")
+        code, expected, _ = run(capsys, *argv)
+        fifo = tmp_path / "iv.json"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        # held open, so that the reader sees no end of file before the job writes
+        writer = os.open(fifo, os.O_WRONLY)
+        os.set_blocking(reader, True)
+        chunks = []
+        thread = threading.Thread(
+            target=lambda: chunks.extend(iter(partial(os.read, reader, 1 << 16), b"")), daemon=True
+        )
+        thread.start()
+        try:
+            code, out, _ = run(capsys, *argv, "--out", str(fifo))
+        finally:
+            os.close(writer)
+            thread.join(60)
+            os.close(reader)
+        assert not thread.is_alive()
+        assert code == 0 and out == ""
+        assert b"".join(chunks) == expected.encode("utf-8")
+        assert fifo.is_fifo() and [f.name for f in tmp_path.iterdir()] == ["iv.json"]
 
     def test_named_family_element(self, capsys):
         code, out, _ = run(capsys, "interval", "--system", "Atilde2", "--element", "y_m:1")

@@ -144,6 +144,18 @@ GOLDEN = [
         0,
         "03cc28ed203a531a1b1be3cf60d89571f05391843168a9b16888fd2526505e51",
     ),
+    (
+        # the two documents whose columns repeat one list object: reflection
+        # labels here, P and R coefficient lists in the next
+        ("interval", "--system", "D5", "--element", "w0"),
+        0,
+        "d33ac55381fbba218a06b88377cda33c49ad917fd65e2a917dd5bf8f0b141333",
+    ),
+    (
+        ("kl", "--system", "A4", "--element", "w0"),
+        0,
+        "854ac56fc12aa52f69e948d66ae7d367a2876b2b65e588d5dfd2797a28a8a504",
+    ),
 ]
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from bruhat_cubulator import kl
 from bruhat_cubulator.bruhat import interval
 from bruhat_cubulator.constructions import y_m
 from bruhat_cubulator.kl import (
@@ -171,6 +172,36 @@ class TestKLTable:
             for x_id in range(len(iv)):
                 assert table.P(x_id, y_id) == reference.P(x_id, y_id), (x_id, y_id)
                 assert table.R(x_id, y_id) == reference.R(x_id, y_id), (x_id, y_id)
+
+    def test_pairs_matches_lookups(self, b3):
+        table = KLTable(interval(b3.longest_element()))
+        iv = table.interval
+        n = len(iv)
+        expected = [
+            (x, y, table.P(x, y).coeffs, table.R(x, y).coeffs)
+            for y in range(n)
+            for x in range(n)
+            if iv.leq_ids(x, y)
+        ]
+        assert list(KLTable(iv).pairs()) == expected
+
+    def test_pairs_reads_the_memo(self, b3, monkeypatch):
+        # the benchmark's traced pass reads every P and R first, then kl_doc
+        # reads pairs(): no P or R is computed again
+        table = KLTable(interval(b3.longest_element()))
+        iv = table.interval
+        for y in range(len(iv)):
+            for x in range(len(iv)):
+                table.P(x, y)
+                table.R(x, y)
+        r_sizes = list(map(len, table._r))
+
+        def recovering(*args):
+            raise AssertionError("a P was computed again")
+
+        monkeypatch.setattr(kl, "_recover", recovering)
+        assert len(list(table.pairs())) == sum(map(int.bit_count, iv.below_masks))
+        assert list(map(len, table._r)) == r_sizes
 
     @pytest.mark.parametrize("ids", [(0, -1), (-1, 0), (0, 24), (24, 23), (100, 0)])
     def test_ids_outside_the_interval(self, a3, ids):

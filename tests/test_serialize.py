@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bruhat_cubulator import constructions, serialize
@@ -172,6 +173,49 @@ class TestKLDoc:
         assert doc["report"]["all_trivial"] is False
 
 
+class TestSharedValues:
+    """Few distinct values fill the edge and pair columns: one list object each."""
+
+    def test_one_list_per_reflection(self):
+        iv = interval(system("D4").longest_element())
+        labels = [e["reflection"] for e in serialize.interval_doc(iv)["bruhat_edges"]]
+        reflections = {t for _, _, t in iv.bruhat_edges}
+        assert len(labels) == len(iv.bruhat_edges) > len(reflections)
+        assert len(set(map(id, labels))) == len(set(map(tuple, labels))) == len(reflections)
+
+    def test_one_list_per_coefficient_tuple(self):
+        doc = serialize.kl_doc(KLTable(interval(system("A4").longest_element())))
+        lists = [p[key] for p in doc["pairs"] for key in ("P", "R")]
+        assert len(set(map(id, lists))) == len(set(map(tuple, lists))) < len(lists)
+
+    @pytest.mark.parametrize(
+        "argv,make_doc,held",
+        [
+            (("interval", "--system", "B3", "--element", "w0"), "interval_doc", lambda iv: [iv]),
+            (("kl", "--system", "B3", "--element", "w0"), "kl_doc", lambda t: [t, t.interval]),
+        ],
+        ids=["interval", "kl"],
+    )
+    def test_source_is_freed_before_encoding(self, capsys, monkeypatch, argv, make_doc, held):
+        """The command drops the interval or table before ``dumps`` builds the text."""
+        refs, alive = [], []
+        build, dumps = getattr(serialize, make_doc), serialize.dumps
+
+        def recording(source):
+            refs.extend(map(weakref.ref, held(source)))
+            return build(source)
+
+        def checking(doc):
+            alive.extend(ref() is not None for ref in refs)
+            return dumps(doc)
+
+        monkeypatch.setattr(serialize, make_doc, recording)
+        monkeypatch.setattr(serialize, "dumps", checking)
+        assert main(list(argv)) == 0
+        assert capsys.readouterr().out
+        assert refs and alive == [False] * len(refs)
+
+
 # the CLI jobs whose documents the encoder must print as the standard library
 # does: every document kind, each search status, and an affine growth probe
 _JOBS = [
@@ -199,12 +243,30 @@ _SCALARS = (
 )
 
 
+def _place(pool, picks):
+    """``picks`` with each int i replaced by the list object ``pool[i % len(pool)]``."""
+    return [pool[p % len(pool)] if isinstance(p, int) else p for p in picks]
+
+
+def _sharing(children):
+    """Columns that hold one list object at several places among distinct lists,
+    as items and as one key's column of records; the shared lists hold ints
+    (empty ones too) or any values."""
+    pool = st.lists(
+        st.lists(st.integers(), max_size=3) | st.lists(children, max_size=2), min_size=1, max_size=3
+    )
+    picks = st.lists(st.integers(0, 2) | st.lists(st.integers(), max_size=3), max_size=6)
+    column = st.builds(_place, pool, picks)
+    return column | column.map(lambda items: [{"k": item, "n": 0} for item in items])
+
+
 def _containers(children):
     uniform = st.lists(_KEYS, max_size=3, unique=True).flatmap(
         lambda keys: st.lists(st.fixed_dictionaries({k: children for k in keys}), max_size=4)
     )
     return (
         st.lists(children, max_size=4)
+        | _sharing(children)
         | st.lists(st.integers() | st.booleans(), max_size=4)
         | uniform
         | st.lists(st.dictionaries(_KEYS, children, max_size=3), max_size=3)
@@ -303,5 +365,8 @@ class TestEncoderOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(_json)
+    @example(_place([[], [1, 2]], [0, [3], 1, 0, [1, 2], 1]))
+    @example({"edges": [{"k": word, "n": 0} for word in _place([[], [1, 2]], [1, 0, 1, [], 0])]})
+    @example(_place([[], ["a", None]], [0, 1, 1, [2]]))
     def test_matches_the_standard_library(self, doc):
         assert _outcome(serialize.dumps, doc) == _outcome(stdlib_dumps, doc)
