@@ -51,7 +51,7 @@ class BruhatInterval:
         self.system = system
         self.top = top
         self.vertices, self.key_ids, self.letter, self.below, self.starts = (
-            system._sorted_elements(_subword_closure(system, top.iword))
+            system._sorted_elements(subword_closure(system, top.iword))
         )
         self.index = {el: i for i, el in enumerate(self.vertices)}
         self.lengths = [el.length for el in self.vertices]
@@ -63,7 +63,7 @@ class BruhatInterval:
         left, ids, keys = self.system._left, self.key_ids, [el.key for el in self.vertices]
         return [[ids.get(left(s, k), -1) for k in keys] for s in range(self.system.rank)]
 
-    def _deletions(self) -> list[list[int]]:
+    def deletions(self) -> list[list[int]]:
         """For each id v, the ids of the l(v) one-letter deletions of v's word.
 
         Entry i deletes letter i + 1.  With s = letter[v], deleting the first
@@ -102,7 +102,7 @@ class BruhatInterval:
                 t = by_root[r] = sys._from_word(word[::-1] + (s,) + word)
             labels.append(t)
         up, up_labels = [[] for _ in vertices], [[] for _ in vertices]
-        for v, deleted in enumerate(self._deletions()):
+        for v, deleted in enumerate(self.deletions()):
             x = v
             for u in deleted:
                 up[u].append(v)
@@ -119,7 +119,7 @@ class BruhatInterval:
         """The deletions u -> v with l(u) = l(v) - 1, in (u, v) order."""
         lengths = self.lengths
         up = [[] for _ in self.vertices]
-        for v, deleted in enumerate(self._deletions()):
+        for v, deleted in enumerate(self.deletions()):
             for u in deleted:
                 if lengths[u] == lengths[v] - 1:
                     up[u].append(v)
@@ -144,7 +144,7 @@ class BruhatInterval:
         return bool(self.below_masks[y_id] >> x_id & 1)
 
 
-def _subword_closure(system: CoxeterSystem, iword: tuple) -> list[list[tuple]]:
+def subword_closure(system: CoxeterSystem, iword: tuple) -> list[list[tuple]]:
     """Keys of [1, y] grouped by length, for y with reduced index word iword.
 
     After reading the suffix w of the word, the set holds the products of

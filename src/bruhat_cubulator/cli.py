@@ -13,6 +13,7 @@ import os
 import re
 import stat
 import sys
+from collections.abc import Iterable
 from itertools import accumulate
 from pathlib import Path
 
@@ -136,40 +137,45 @@ def _resolve_element(system: CoxeterSystem, args) -> Element:
     raise ValueError(f'unknown named element {name!r}; use "w0" or "y_m:<m>"')
 
 
-def _emit(text: str, out: str | None):
+def _emit(pieces: Iterable[str], out: str | None):
+    """Write each text piece as soon as it is made, to ``out`` or to stdout."""
     if out:
-        _write_file(Path(out), text)
+        _write_file(Path(out), pieces)
         return
     buffer = getattr(sys.stdout, "buffer", None)
     if buffer is None:  # a text-only stream, such as a StringIO
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     # under PYTHONUNBUFFERED the buffer is the raw file: its write may take
     # only part of the bytes, and the text layer ignores how many it took
     sys.stdout.flush()
-    data = memoryview(text.encode("utf-8"))
-    while data:
-        data = data[buffer.write(data) :]
+    for piece in pieces:
+        data = memoryview(piece.encode("utf-8"))
+        while data:
+            data = data[buffer.write(data) :]
     buffer.flush()
 
 
-def _write_file(path: Path, text: str):
-    """Write ``text`` to ``path`` so that a failed or interrupted write leaves
-    the previous file whole: through a temp file beside the file a symlink
-    names, renamed into place with the old file's mode.  A target that is
-    not a plain file (a device such as /dev/null, a FIFO, /dev/fd/N) or
-    that has other hard links cannot be replaced, and is written in place."""
+def _write_file(path: Path, pieces: Iterable[str]):
+    """Write the text ``pieces`` to ``path`` so that a failed or interrupted
+    write leaves the previous file whole: through a temp file beside the
+    file a symlink names, renamed into place with the old file's mode.  A
+    target that is not a plain file (a device such as /dev/null, a FIFO,
+    /dev/fd/N) or that has other hard links cannot be replaced, and is
+    written in place."""
     try:
         old = path.stat()
     except FileNotFoundError:
         old = None
     if old is not None and (not stat.S_ISREG(old.st_mode) or old.st_nlink > 1):
-        path.write_text(text, encoding="utf-8")
+        with path.open("w", encoding="utf-8") as file:
+            file.writelines(pieces)
         return
     target = Path(os.path.realpath(path))
     tmp = target.with_name(f".{target.name}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with tmp.open("w", encoding="utf-8") as file:
+            file.writelines(pieces)
         if old is not None:
             tmp.chmod(stat.S_IMODE(old.st_mode))
         os.replace(tmp, target)
@@ -185,8 +191,8 @@ def _cmd_interval(args) -> int:
         _emit(serialize.interval_dot(iv), args.out)
         return 0
     doc = serialize.interval_doc(iv)
-    del iv  # so that its edge lists are freed before the text is built
-    _emit(serialize.dumps(doc), args.out)
+    del iv  # so that its edge lists are freed before the text is made
+    _emit(serialize.chunks(doc), args.out)
     return 0
 
 
@@ -196,8 +202,8 @@ def _cmd_kl(args) -> int:
     system = build_system(args.system)
     table = KLTable(interval(_resolve_element(system, args)))
     doc = serialize.kl_doc(table)
-    del table  # so that its memo tables and interval are freed before the text is built
-    _emit(serialize.dumps(doc), args.out)
+    del table  # so that its memo tables and interval are freed before the text is made
+    _emit(serialize.chunks(doc), args.out)
     return 0
 
 
@@ -226,8 +232,8 @@ def _cmd_cubulate(args) -> int:
     outcome = search.search(iv, budget=args.budget, checkpoint=checkpoint)
     # the checkpoint first: a job whose checkpoint cannot be written prints nothing
     if outcome.status == search.BUDGET_EXCEEDED and path:
-        _write_file(path, serialize.dumps(serialize.checkpoint_doc(outcome.checkpoint)))
-    _emit(serialize.dumps(serialize.outcome_doc(iv, outcome)), args.out)
+        _write_file(path, serialize.chunks(serialize.checkpoint_doc(outcome.checkpoint)))
+    _emit(serialize.chunks(serialize.outcome_doc(iv, outcome)), args.out)
     return _EXIT[outcome.status]
 
 
@@ -248,7 +254,7 @@ def _cmd_construct(args) -> int:
             result = cx.standard_parabolic_coxeter_cubulation(y)
         else:
             result = cx.dihedral_cubulation(y)
-    _emit(serialize.dumps(serialize.construction_doc(result)), args.out)
+    _emit(serialize.chunks(serialize.construction_doc(result)), args.out)
     return 0
 
 
@@ -291,7 +297,7 @@ def _cmd_growth(args) -> int:
             ),
             "caveat": report.caveat,
         }
-    _emit(serialize.dumps(doc), args.out)
+    _emit(serialize.chunks(doc), args.out)
     return 0
 
 
@@ -299,7 +305,7 @@ def _cmd_suite(args) -> int:
     from .suites import run_suite
 
     report = run_suite(args.name)
-    _emit(serialize.dumps(report), args.out)
+    _emit(serialize.chunks(report), args.out)
     return 0 if report["passed"] else 1
 
 

@@ -18,9 +18,10 @@ tuples; IntPoly objects are made only for the caller.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
-from .bruhat import BruhatInterval, _subword_closure, interval, poincare_polynomial
+from .bruhat import BruhatInterval, interval, poincare_polynomial, subword_closure
 from .coxeter import Element
 from .polynomials import IntPoly, ONE, ZERO, is_palindromic
 
@@ -230,7 +231,7 @@ def all_trivial(y: Element) -> bool:
     (Carrell-Peterson); ``carrell_peterson_report(y).all_trivial`` computes
     the whole table instead.
     """
-    sizes = [len(level) for level in _subword_closure(y.system, y.iword)]
+    sizes = [len(level) for level in subword_closure(y.system, y.iword)]
     return sizes == sizes[::-1]
 
 
@@ -261,7 +262,8 @@ def table_report(table: KLTable) -> CPReport:
     iv = table.interval
     y = iv.top
     cond_trivial = all(p == ONE for p in table.top_column())
-    out_degree = Counter(u for u, _, _ in iv.bruhat_edges)
+    # u's out-degree: how often u is a one-letter deletion of a vertex's word
+    out_degree = Counter(chain.from_iterable(iv.deletions()))
     cond_edges = all(out_degree[i] == y.length - l for i, l in enumerate(iv.lengths))
     a_y = Fraction(sum(iv.lengths), len(iv.vertices))
     cond_average = a_y == Fraction(y.length, 2)

@@ -7,24 +7,31 @@ byte-identical output.  Few distinct values fill the largest columns, so
 the interval document holds one list per distinct reflection label and
 the KL document one per distinct P or R coefficient tuple.
 
-``dumps(doc)`` equals ``json.dumps(doc, sort_keys=True, indent=2) + "\n"``
-byte for byte on every input; that standard-library call stays the test
-oracle.  With an ``indent`` the standard library encodes in pure Python and
-lists every token before it joins them, so ``dumps`` encodes a list one
-column at a time instead:
+``chunks(doc)`` yields the text of ``json.dumps(doc, sort_keys=True,
+indent=2) + "\n"`` in pieces, byte for byte on every input, and is the one
+encoder: the CLI writes each piece as it is made, so no command holds the
+whole text, and ``dumps(doc)`` joins the pieces.  The standard-library call
+stays the test oracle.  A top-level dict goes key by key, and a list under
+a top-level key goes ``SLICE`` items at a time.  With an
+``indent`` the standard library encodes in pure Python and lists every
+token before it joins them, so a slice is encoded one column at a time
+instead:
 - a list of ints or of strs in one C-speed ``map``;
 - a list of lists of ints (words, pairs) in one ``join`` per list;
 - a list of records (dicts with one shared set of str keys) one key's
-  column at a time, the rows filled in through one ``%`` template.
+  column at a time, the rows filled in through one ``%`` template, and each
+  distinct object of a non-int column encoded once.
 Any other value takes a per-node path, and a scalar that path does not
-know (a float, say) gets the standard library's own text.  A document the
-encoder cannot encode goes whole to the standard library, so that the
-errors stay the standard library's.
+know (a float, say) gets the standard library's own text.  If the encoder
+fails on a document, the standard library's text supplies the rest of
+the pieces, or its error is raised, so that the errors stay the standard
+library's.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -41,16 +48,56 @@ SCHEMA = "bruhat-cubulator/1"
 
 _CHECKPOINT_FIELDS = ("system", "top", "search_rules", "shape", "path", "min_id")
 
+# list items encoded into one piece by ``chunks``
+SLICE = 512
+
+
+def chunks(doc) -> Iterator[str]:
+    """The text of ``doc`` in pieces of at most about ``SLICE`` list items."""
+    done = 0
+    try:
+        for piece in _pieces(doc):
+            done += len(piece)
+            yield piece
+    except (TypeError, ValueError, RecursionError):
+        # every piece so far is the standard library's text; it raises its
+        # own error for the first fault in document order (the columns may
+        # meet another one first), names a circular document, and encodes
+        # one nested deeper than this encoder's recursion reaches
+        yield (_stdlib(doc) + "\n")[done:]
+
 
 def dumps(doc) -> str:
-    try:
-        return _value(doc, 0) + "\n"
-    except (TypeError, ValueError, RecursionError):
-        # the standard library raises its own error for the first fault in
-        # document order (the columns may meet another one first), names a
-        # circular document, and encodes one nested deeper than this
-        # encoder's recursion reaches
-        return _stdlib(doc) + "\n"
+    """The whole text of ``doc``, for a caller that needs one string."""
+    return "".join(chunks(doc))
+
+
+def _pieces(doc) -> Iterator[str]:
+    if isinstance(doc, dict) and doc:
+        head = "{\n  "
+        for key, value in sorted(doc.items()):
+            head += _key(key) + ": "
+            if isinstance(value, (list, tuple)) and value:
+                yield from _slices(value, 1, head + "[")
+            else:
+                yield head + _value(value, 1)
+            head = ",\n  "
+        yield "\n}\n"
+    else:
+        yield _value(doc, 0) + "\n"
+
+
+def _slices(items, level: int, opening: str) -> Iterator[str]:
+    """The text of the list ``items`` at nesting ``level``, ``SLICE`` items a
+    piece; ``opening`` ends in the bracket."""
+    inner = "\n" + "  " * (level + 1)
+    head = opening + inner
+    for start in range(0, len(items), SLICE):
+        texts = _column(items[start : start + SLICE], level + 1)
+        texts[0] = head + texts[0]
+        yield ("," + inner).join(texts)
+        head = "," + inner
+    yield "\n" + "  " * level + "]"
 
 
 def _stdlib(value) -> str:
@@ -128,7 +175,12 @@ def _records(items, keys: list[str], level: int) -> list[str]:
             columns.append(values)
         else:
             fields.append(_key(key).replace("%", "%%") + ": %s")
-            columns.append(_column(values, level + 1))
+            if len(set(map(id, values))) == len(values):
+                columns.append(_column(values, level + 1))
+            else:  # one text per distinct object, such as a word shared by many edges
+                distinct = dict(zip(map(id, values), values))
+                texts = dict(zip(distinct, _column(list(distinct.values()), level + 1)))
+                columns.append(list(map(texts.__getitem__, map(id, values))))
     inner = "\n" + "  " * (level + 1)
     template = "{" + inner + ("," + inner).join(fields) + "\n" + "  " * level + "}"
     return list(map(template.__mod__, zip(*columns)))
@@ -154,22 +206,21 @@ def interval_doc(iv: BruhatInterval) -> dict:
     }
 
 
-def interval_dot(iv: BruhatInterval) -> str:
-    """Bruhat graph in DOT, with vertices rank-aligned by length."""
-    lines = ["digraph bruhat {", "  rankdir=BT;"]
+def interval_dot(iv: BruhatInterval) -> Iterator[str]:
+    """Bruhat graph in DOT, with vertices rank-aligned by length, line by line."""
+    yield "digraph bruhat {\n  rankdir=BT;\n"
     for i, el in enumerate(iv.vertices):
         label = "e" if not el.word else "".join(f"s{a}" for a in el.word)
-        lines.append(f'  v{i} [label="{label}"];')
+        yield f'  v{i} [label="{label}"];\n'
     by_length: dict[int, list[int]] = {}
     for i, l in enumerate(iv.lengths):
         by_length.setdefault(l, []).append(i)
     for l in sorted(by_length):
         row = " ".join(f"v{i};" for i in by_length[l])
-        lines.append(f"  {{ rank=same; {row} }}")
+        yield f"  {{ rank=same; {row} }}\n"
     for u, v, _ in iv.bruhat_edges:
-        lines.append(f"  v{u} -> v{v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f"  v{u} -> v{v};\n"
+    yield "}\n"
 
 
 def report_doc(report: CPReport) -> dict:

@@ -108,6 +108,13 @@ class TestEdges:
         in_degree = Counter(v for _, v, _ in iv.bruhat_edges)
         assert [in_degree[v] for v in range(len(iv))] == iv.lengths
 
+    @pytest.mark.parametrize("tag,word", CASES)
+    def test_deletions_are_the_edges(self, tag, word):
+        # the public recursion that kl reads out-degrees from
+        iv = interval(case_element(tag, word))
+        pairs = sorted((u, v) for v, deleted in enumerate(iv.deletions()) for u in deleted)
+        assert pairs == [(u, v) for u, v, _ in iv.bruhat_edges]
+
     def test_out_degrees_a2(self, a2):
         iv = interval(a2.longest_element())
 
@@ -135,7 +142,7 @@ class TestLazyEdges:
         atilde2, b3 = build_system("Atilde2"), build_system("B3")
         with monkeypatch.context() as patch:
             patch.setattr(BruhatInterval, "action", property(refuse))
-            patch.setattr(BruhatInterval, "_deletions", refuse)
+            patch.setattr(BruhatInterval, "deletions", refuse)
             assert len(cx.atilde2_trivial_enumeration(atilde2, 8)) > 0
             assert len(cx.atilde2_cubulation(atilde2, 4).interval) == 90
             assert all_trivial(b3.longest_element())

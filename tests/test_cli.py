@@ -12,7 +12,7 @@ from functools import partial
 import pytest
 
 import bruhat_cubulator
-from bruhat_cubulator import cli, suites
+from bruhat_cubulator import cli, serialize, suites
 from bruhat_cubulator.cli import main, parse_budget
 from bruhat_cubulator.coxeter import build_system
 from bruhat_cubulator.search import SEARCH_RULES
@@ -126,6 +126,30 @@ class TestInterval:
         assert target.read_bytes() == b"old bytes\n"
         assert [f.name for f in tmp_path.iterdir()] == ["iv.json"]
 
+    def test_out_file_whose_encoding_fails_part_way_keeps_the_old_one(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # the text is written as it is made: an encoder that fails after its
+        # first pieces leaves the old file whole and no temp file
+        target = tmp_path / "iv.json"
+        target.write_bytes(b"old bytes\n")
+        chunks, made = serialize.chunks, []
+
+        def failing(doc):
+            pieces = chunks(doc)
+            for _ in range(3):
+                made.append(next(pieces))
+                yield made[-1]
+            raise MemoryError
+
+        monkeypatch.setattr(serialize, "chunks", failing)
+        argv = ("interval", "--system", "D4", "--element", "w0", "--out", str(target))
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: MemoryError\n")
+        assert len(made) == 3
+        assert target.read_bytes() == b"old bytes\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["iv.json"]
+
     def test_out_symlink_writes_the_file_it_names(self, capsys, tmp_path):
         argv = ("interval", "--system", "A3", "--element", "w0")
         code, expected, _ = run(capsys, *argv)
@@ -213,6 +237,25 @@ class TestStdout:
         assert code == 0
         assert len(expected) > 4096
         assert bytes(raw.data) == expected
+
+    def test_each_piece_is_written_before_the_next_is_made(self, capsys, monkeypatch):
+        raw = _ShortWriter()
+        chunks, written = serialize.chunks, []
+
+        def watching(doc):
+            for piece in chunks(doc):
+                written.append(len(raw.data))
+                yield piece
+            written.append(len(raw.data))
+
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+        monkeypatch.setattr(serialize, "chunks", watching)
+        code = main(list(self.ARGV))
+        monkeypatch.undo()
+        assert code == 0
+        # the bytes on stdout grow with every piece, and none waits for the last
+        assert len(written) > 3 and written == sorted(set(written))
+        assert bytes(raw.data) == run(capsys, *self.ARGV)[1].encode("utf-8")
 
     def test_reader_that_closes_early_exits_2(self):
         src = os.path.dirname(os.path.dirname(bruhat_cubulator.__file__))

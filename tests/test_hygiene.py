@@ -133,7 +133,9 @@ def test_all_matches_the_package_imports():
 
 def test_one_serialization_path():
     """Only ``serialize`` calls ``json.dumps``, so every document goes through
-    ``serialize.dumps``, the name the benchmark times."""
+    ``serialize.chunks``, the one encoder."""
     package = sorted((_ROOT / "src" / "bruhat_cubulator").glob("*.py"))
     callers = [p.name for p in package if "json.dumps(" in p.read_text()]
     assert callers == ["serialize.py"]
+    # the commands write the pieces as they are made, never the joined text
+    assert [p.name for p in package if "dumps(" in p.read_text()] == ["serialize.py"]

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from bruhat_cubulator import kl
-from bruhat_cubulator.bruhat import interval
+from bruhat_cubulator.bruhat import BruhatInterval, interval
+from bruhat_cubulator.cli import main
 from bruhat_cubulator.constructions import y_m
 from bruhat_cubulator.kl import (
     KLConsistencyError,
@@ -267,3 +268,15 @@ class TestCarrellPeterson:
         report = carrell_peterson_report(atilde2.element((0, 1, 0, 2)))
         assert report.all_trivial
         assert report.a_y == Fraction(2, 1)
+
+    def test_report_builds_no_labelled_edges(self, a3, capsys, monkeypatch):
+        # out-degrees come from the one-letter deletions, so neither the
+        # report nor the kl command makes the triples or their reflections
+        def refuse(self):
+            raise AssertionError("bruhat_edges was built")
+
+        monkeypatch.setattr(BruhatInterval, "bruhat_edges", property(refuse))
+        assert carrell_peterson_report(a3.longest_element()).edge_count_ok
+        assert not carrell_peterson_report(a3.element((2, 1, 3, 2))).edge_count_ok
+        assert main(["kl", "--system", "B3", "--element", "w0"]) == 0
+        assert capsys.readouterr().err == ""

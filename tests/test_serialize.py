@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 import weakref
 
 import pytest
@@ -69,7 +70,7 @@ class TestIntervalDoc:
 class TestDot:
     def test_structure(self, a2):
         iv = interval(a2.longest_element())
-        dot = serialize.interval_dot(iv)
+        dot = "".join(serialize.interval_dot(iv))
         assert dot.startswith("digraph bruhat {")
         assert dot.count("->") == len(iv.bruhat_edges)
         assert dot.count("[label=") == len(iv.vertices)
@@ -197,20 +198,21 @@ class TestSharedValues:
         ids=["interval", "kl"],
     )
     def test_source_is_freed_before_encoding(self, capsys, monkeypatch, argv, make_doc, held):
-        """The command drops the interval or table before ``dumps`` builds the text."""
+        """The command drops the interval or table before ``chunks`` makes the text."""
         refs, alive = [], []
-        build, dumps = getattr(serialize, make_doc), serialize.dumps
+        build, chunks = getattr(serialize, make_doc), serialize.chunks
 
         def recording(source):
             refs.extend(map(weakref.ref, held(source)))
             return build(source)
 
         def checking(doc):
+            # a generator: the check runs when the first piece is asked for
             alive.extend(ref() is not None for ref in refs)
-            return dumps(doc)
+            yield from chunks(doc)
 
         monkeypatch.setattr(serialize, make_doc, recording)
-        monkeypatch.setattr(serialize, "dumps", checking)
+        monkeypatch.setattr(serialize, "chunks", checking)
         assert main(list(argv)) == 0
         assert capsys.readouterr().out
         assert refs and alive == [False] * len(refs)
@@ -278,6 +280,17 @@ def _containers(children):
 
 # nested JSON values, with the kinds that the encoder's paths tell apart
 _json = st.recursive(_SCALARS, _containers, max_leaves=12)
+# documents: ``chunks`` slices the lists under a top-level key
+_documents = _json | st.dictionaries(_KEYS, _json, min_size=1, max_size=4)
+
+
+def _deep():
+    """A list nested deeper than the encoder's recursion reaches, not the
+    standard library's."""
+    deep = 0
+    for _ in range(400):
+        deep = [deep]
+    return deep
 
 
 def _outcome(encode, doc):
@@ -291,22 +304,27 @@ def _outcome(encode, doc):
 class TestEncoderOracle:
     @pytest.fixture
     def printed(self, monkeypatch):
-        """(document, text) for every document ``serialize.dumps`` encodes."""
+        """(document, text) for every document ``serialize.chunks`` encodes to
+        its end, in the order the encodings end."""
         seen = []
-        dumps = serialize.dumps
+        chunks = serialize.chunks
 
         def recording(doc):
-            text = dumps(doc)
-            seen.append((doc, text))
-            return text
+            pieces = []
+            for piece in chunks(doc):
+                pieces.append(piece)
+                yield piece
+            seen.append((doc, "".join(pieces)))
 
-        monkeypatch.setattr(serialize, "dumps", recording)
+        monkeypatch.setattr(serialize, "chunks", recording)
         return seen
 
     def test_every_cli_document(self, capsys, printed):
+        outs = []
         for argv in _JOBS:
             main(list(argv))
-        assert capsys.readouterr().err == ""
+            outs.append(capsys.readouterr())
+        assert [out.err for out in outs] == [""] * len(_JOBS)
         kinds = [doc.get("kind", doc.get("suite")) for doc, _ in printed]
         assert kinds == [
             "interval", "kl-table", "search-outcome", "search-outcome",
@@ -314,19 +332,22 @@ class TestEncoderOracle:
         ]
         assert [doc["status"] for doc, _ in printed[2:4]] == ["Found", "Exhausted"]
         assert printed[7][0]["probe"] is not None
-        for doc, text in printed:
+        for (doc, text), out in zip(printed, outs):
             assert text == stdlib_dumps(doc)
+            assert out.out == text
 
     def test_budget_exceeded_with_checkpoint(self, capsys, printed, tmp_path):
         cp = tmp_path / "cp.json"
         argv = ["cubulate", "--system", "B3", "--element", "w0", "--budget", "5"]
         assert main(argv + ["--checkpoint", str(cp)]) == 3
-        (checkpoint, _), (outcome, _) = printed
+        (checkpoint, written), (outcome, shown) = printed
         assert checkpoint["kind"] == "checkpoint"
         assert outcome["status"] == "BudgetExceeded"
         assert outcome["checkpoint"] == checkpoint
         for doc, text in printed:
             assert text == stdlib_dumps(doc)
+        assert cp.read_text(encoding="utf-8") == written
+        assert capsys.readouterr().out == shown
 
     def test_enumeration_document(self):
         # the document that bench/enumerate_job.py prints
@@ -356,12 +377,56 @@ class TestEncoderOracle:
     def test_circular_and_deep_documents(self):
         loop = []
         loop.append([{"a": loop}])
-        # deeper than the encoder's recursion reaches, not the standard library's
-        deep = 0
-        for _ in range(400):
-            deep = [deep]
+        deep = _deep()
         assert _outcome(serialize.dumps, loop) == ("ValueError", "Circular reference detected")
         assert _outcome(serialize.dumps, deep) == ("ok", stdlib_dumps(deep))
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            pytest.param({1: 0, "x": 0}, id="mixed-keys"),
+            pytest.param([object()], id="unencodable"),
+            pytest.param(_deep(), id="deep"),
+        ],
+    )
+    def test_a_fault_after_the_first_pieces(self, monkeypatch, tail):
+        """Pieces already made are the standard library's text: it supplies the
+        rest, or raises its own error."""
+        monkeypatch.setattr(serialize, "SLICE", 1)
+        doc = {"a": [1, 2], "b": tail}
+        pieces = serialize.chunks(doc)
+        first = next(pieces)
+        assert first == '{\n  "a": [\n    1'
+        assert _outcome(lambda _: first + "".join(pieces), doc) == _outcome(stdlib_dumps, doc)
+
+    def test_lists_go_a_slice_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(serialize, "SLICE", 2)
+        doc = {"a": [1, 2, 3], "b": {"c": [4]}, "d": []}
+        assert list(serialize.chunks(doc)) == [
+            '{\n  "a": [\n    1,\n    2',
+            ",\n    3",
+            "\n  ]",
+            ',\n  "b": {\n    "c": [\n      4\n    ]\n  }',
+            ',\n  "d": []',
+            "\n}\n",
+        ]
+        # only the lists under a top-level key are sliced
+        assert list(serialize.chunks([[1], None])) == ["[\n  [\n    1\n  ],\n  null\n]\n"]
+
+    def test_d5_interval_document_streams_in_little_memory(self):
+        # the whole 3.4 MB text, as dumps makes it, against one slice at a time
+        doc = serialize.interval_doc(interval(system("D5").longest_element()))
+        tracemalloc.start()
+        try:
+            for _ in serialize.chunks(doc):
+                pass
+            streamed = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            serialize.dumps(doc)
+            whole = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert streamed < 1.5e6 and whole > 6e6, (streamed, whole)
 
     @settings(max_examples=60, deadline=None)
     @given(_json)
@@ -370,3 +435,14 @@ class TestEncoderOracle:
     @example(_place([[], ["a", None]], [0, 1, 1, [2]]))
     def test_matches_the_standard_library(self, doc):
         assert _outcome(serialize.dumps, doc) == _outcome(stdlib_dumps, doc)
+
+    @pytest.mark.parametrize("size", [1, 2, serialize.SLICE])
+    @settings(max_examples=60, deadline=None)
+    @given(_documents)
+    @example({"a": [1, 2, 3], "b": [[], [4]], "c": {"d": [5]}})
+    @example({"a": [0], "b": [{"k": [1], "n": 0}, {"k": [1], "n": 1}], "c": {1: 0, "x": 0}})
+    def test_pieces_match_the_standard_library(self, size, doc):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(serialize, "SLICE", size)
+            joined = _outcome(lambda doc: "".join(serialize.chunks(doc)), doc)
+        assert joined == _outcome(stdlib_dumps, doc)
