@@ -15,16 +15,20 @@ table.  Element objects are made only for the vertices.
 - Edges, from one recursion on the id-level generator action: by strong
   exchange (same reference, Ch. 1) the u -> v below v are the l(v)
   distinct one-letter deletions of v's canonical word, and those of v are
-  s*v and s times those of s*v.  ``hasse_edges`` keeps the deletions one
-  length down; ``bruhat_edges`` keeps all of them, labelled by the
-  reflection each deletion removes.  Level sizes, and so the Poincare
-  polynomial, need only the vertices.
+  s*v and s times those of s*v.  They are kept once, as one flat integer
+  array with per-vertex offsets; the covers are the deletions one length
+  down, and the label of each deletion, the reflection it removes, is
+  kept once per vertex and read along ``below``.  Level sizes, and so the
+  Poincare polynomial, need only the vertices.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import repeat
+from array import array
+from collections import Counter
+from functools import cached_property, reduce
+from itertools import accumulate, chain, repeat
+from operator import or_
 
 from .coxeter import CoxeterSystem, Element
 from .polynomials import IntPoly
@@ -40,9 +44,11 @@ class BruhatInterval:
     ``letter[u]``, the smallest left descent s of u (the first letter of its
     canonical word), and ``below[u]``, the id of s*u (-1 at the identity);
     and ``action[s][u]``, the id of s*u, or -1 when s*u is outside [1, y].
-    ``bruhat_edges`` holds triples (u_id, v_id, t) with t the reflection
-    u^-1 v; it, ``hasse_edges``, ``below_masks`` and ``action`` are built
-    on first read.
+    The edges are ``deletions``, v's from ``offsets[v]`` on, and
+    ``labels``; they, ``below_masks`` and ``action`` are built on first
+    read.  The lists ``bruhat_edges``, of triples (u_id, v_id, t) with t
+    the reflection u^-1 v, and ``hasse_edges`` are views made from them on
+    first read.
     """
 
     def __init__(self, system: CoxeterSystem, top: Element):
@@ -55,6 +61,8 @@ class BruhatInterval:
         )
         self.index = {el: i for i, el in enumerate(self.vertices)}
         self.lengths = [el.length for el in self.vertices]
+        # v's deletions are deletions[offsets[v]:offsets[v + 1]], l(v) of them
+        self.offsets = array("i", accumulate(self.lengths, initial=0))
 
     # -- derived structure, built on first read ------------------------------
 
@@ -63,35 +71,43 @@ class BruhatInterval:
         left, ids, keys = self.system._left, self.key_ids, [el.key for el in self.vertices]
         return [[ids.get(left(s, k), -1) for k in keys] for s in range(self.system.rank)]
 
-    def deletions(self) -> list[list[int]]:
-        """For each id v, the ids of the l(v) one-letter deletions of v's word.
+    @cached_property
+    def deletions(self) -> array:
+        """The ids of the l(v) one-letter deletions of each v's word, v by v.
 
-        Entry i deletes letter i + 1.  With s = letter[v], deleting the first
-        letter leaves s*v, and deleting a later one leaves s*x for x the
-        same deletion from the word of s*v.  Every deletion lies below v,
-        so in [1, y].  By strong exchange they are distinct, and they are
+        Entry i of v deletes letter i + 1.  With s = letter[v], deleting the
+        first letter leaves s*v, and deleting a later one leaves s*x for x
+        the same deletion from the word of s*v.  Every deletion lies below
+        v, so in [1, y].  By strong exchange they are distinct, and they are
         the u < v with u^-1 v a reflection.
         """
-        action, letter, below = self.action, self.letter, self.below
-        out = [[]]
+        action, letter, below, offsets = self.action, self.letter, self.below, self.offsets
+        out = array("i")
         for v in range(1, len(self.vertices)):
-            act = action[letter[v]]
-            out.append([below[v], *map(act.__getitem__, out[below[v]])])
+            b = below[v]
+            out.append(b)
+            out.extend(map(action[letter[v]].__getitem__, out[offsets[b] : offsets[b + 1]]))
         return out
 
-    @cached_property
-    def bruhat_edges(self) -> list[tuple]:
-        """Every u -> v from the deletions, in (u, v) order.
+    def covers(self, v: int) -> list[int]:
+        """The ids that v covers: its deletions one length down."""
+        lengths, offsets = self.lengths, self.offsets
+        down = lengths[v] - 1
+        return [u for u in self.deletions[offsets[v] : offsets[v + 1]] if lengths[u] == down]
 
-        Deleting letter i + 1 of v's word removes the reflection of the
-        edge s*x -> x, for x = below^i(v) and s = letter[x]: with w = s*x,
-        it is w^-1 s w, whose root w^-1(alpha_s) is w's letters applied to
-        alpha_s, first letter first.
+    @cached_property
+    def labels(self) -> tuple[list[Element], array]:
+        """(reflections, label): label[x] indexes in reflections the
+        reflection of the edge s*x -> x, s = letter[x] (-1 at the identity).
+
+        Deleting letter i + 1 of v's word removes the label of x =
+        below^i(v).  With w = s*x it is w^-1 s w, whose root w^-1(alpha_s)
+        is w's letters applied to alpha_s, first letter first.
         """
         sys, letter, below, vertices = self.system, self.letter, self.below, self.vertices
         act_id = sys._act_id
-        by_root = {}
-        labels = [None]  # labels[x]: the reflection of the edge s*x -> x
+        by_root, reflections = {}, []
+        label = array("i", [-1])
         for x in range(1, len(vertices)):
             s, word = letter[x], vertices[below[x]].iword
             r = s
@@ -99,31 +115,48 @@ class BruhatInterval:
                 r = act_id(a, r)
             t = by_root.get(r)
             if t is None:
-                t = by_root[r] = sys._from_word(word[::-1] + (s,) + word)
-            labels.append(t)
-        up, up_labels = [[] for _ in vertices], [[] for _ in vertices]
-        for v, deleted in enumerate(self.deletions()):
+                t = by_root[r] = len(reflections)
+                reflections.append(sys._from_word(word[::-1] + (s,) + word))
+            label.append(t)
+        return reflections, label
+
+    def edges(self) -> tuple[array, array, array]:
+        """Every u -> v in (u, v) order, as the columns (sources, targets,
+        labels), each edge's label an index in ``labels[0]``.
+
+        One counting pass by source places each deletion; v ascends, so
+        the targets of one source do too.
+        """
+        deletions, offsets, below, label = self.deletions, self.offsets, self.below, self.labels[1]
+        ids = range(len(self.vertices))
+        degree = list(map(Counter(deletions).__getitem__, ids))
+        sources = array("i", chain.from_iterable(map(repeat, ids, degree)))
+        place = list(accumulate(degree, initial=0))
+        targets, labels = array("i", sources), array("i", sources)  # each entry is set below
+        for v in ids:
             x = v
-            for u in deleted:
-                up[u].append(v)
-                up_labels[u].append(labels[x])
+            for u in deletions[offsets[v] : offsets[v + 1]]:
+                p = place[u]
+                place[u] = p + 1
+                targets[p] = v
+                labels[p] = label[x]
                 x = below[x]
-        edges = []
-        for u, vs in enumerate(up):
-            edges += zip(repeat(u), vs, up_labels[u])
-            up[u] = up_labels[u] = None  # so the lists do not outlive their triples
-        return edges
+        return sources, targets, labels
+
+    # -- edge lists, views for a reader outside the package -----------------
+
+    @cached_property
+    def bruhat_edges(self) -> list[tuple]:
+        """Triples (u_id, v_id, t) in (u, v) order, t the reflection u^-1 v."""
+        sources, targets, labels = self.edges()
+        return list(zip(sources, targets, map(self.labels[0].__getitem__, labels)))
 
     @cached_property
     def hasse_edges(self) -> list[tuple]:
-        """The deletions u -> v with l(u) = l(v) - 1, in (u, v) order."""
+        """The pairs (u_id, v_id) with v covering u, in (u, v) order."""
         lengths = self.lengths
-        up = [[] for _ in self.vertices]
-        for v, deleted in enumerate(self.deletions()):
-            for u in deleted:
-                if lengths[u] == lengths[v] - 1:
-                    up[u].append(v)
-        return [(u, v) for u, vs in enumerate(up) for v in vs]
+        sources, targets, _ = self.edges()
+        return [(u, v) for u, v in zip(sources, targets) if lengths[u] + 1 == lengths[v]]
 
     def __len__(self):
         return len(self.vertices)
@@ -134,10 +167,10 @@ class BruhatInterval:
     @cached_property
     def below_masks(self) -> list[int]:
         """For each vertex v, the bitset of ids x with x <= v."""
-        masks = [1 << i for i in range(len(self.vertices))]
-        # hasse edges go up in id order, so one ascending pass suffices
-        for u, v in self.hasse_edges:
-            masks[v] |= masks[u]
+        masks = []
+        # v covers only smaller ids, so one ascending pass suffices
+        for v in range(len(self.vertices)):
+            masks.append(reduce(or_, map(masks.__getitem__, self.covers(v)), 1 << v))
         return masks
 
     def leq_ids(self, x_id: int, y_id: int) -> bool:

@@ -18,7 +18,6 @@ tuples; IntPoly objects are made only for the caller.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
 from .bruhat import BruhatInterval, interval, poincare_polynomial, subword_closure
@@ -119,10 +118,11 @@ class KLTable:
             return col
         iv = self.interval
         if self._above is None:
-            # hasse edges are sorted by source, so one descending pass suffices
+            # v covers only smaller ids, so one descending pass suffices
             above = [1 << i for i in range(len(iv))]
-            for u, v in reversed(iv.hasse_edges):
-                above[u] |= above[v]
+            for v in reversed(range(len(iv))):
+                for u in iv.covers(v):
+                    above[u] |= above[v]
             self._above = above
         above, lengths, r_rows = self._above, iv.lengths, self._r
         below = iv.below_masks[y_id]
@@ -263,7 +263,7 @@ def table_report(table: KLTable) -> CPReport:
     y = iv.top
     cond_trivial = all(p == ONE for p in table.top_column())
     # u's out-degree: how often u is a one-letter deletion of a vertex's word
-    out_degree = Counter(chain.from_iterable(iv.deletions()))
+    out_degree = Counter(iv.deletions)
     cond_edges = all(out_degree[i] == y.length - l for i, l in enumerate(iv.lengths))
     a_y = Fraction(sum(iv.lengths), len(iv.vertices))
     cond_average = a_y == Fraction(y.length, 2)

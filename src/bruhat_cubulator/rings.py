@@ -104,11 +104,18 @@ class CosRing:
             # |a'(t)| <= bound on [-2, 2], so |a(hi) - a(c)| <= (hi - lo) * bound;
             # a(c) != 0 since a is nonzero of degree below psi's, so this ends
             bound = sum(i * abs(a) << (i - 1) for i, a in enumerate(coeffs) if i)
-            a = IntPoly(coeffs)
+            d = len(coeffs) - 1
             lo, hi = self._bracket
-            while abs(a(hi)) <= (hi - lo) * bound:
+            while True:
+                # over the bracket's common denominator 2^k, hi = n / 2^k,
+                # hi - lo = w / 2^k and a(hi) = v / 2^(k*d), all integers
+                k = max(lo.denominator, hi.denominator).bit_length() - 1
+                n, w = int(hi * (1 << k)), int((hi - lo) * (1 << k))
+                v = IntPoly([a << k * (d - i) for i, a in enumerate(coeffs)])(n)
+                if abs(v) << k > w * bound << k * d:
+                    break
                 lo, hi = self._refine()
-            self._sign_cache[coeffs] = 1 if a(hi) > 0 else -1
+            self._sign_cache[coeffs] = 1 if v > 0 else -1
         return self._sign_cache[coeffs]
 
     def _refine(self) -> tuple[Fraction, Fraction]:

@@ -235,8 +235,10 @@ def search(
     end = [starts[k + 1] for k in band]
     # up[u]: the interval vertices that cover u, in band ell(u) + 1
     up = [0] * nv
-    for u, v in iv.hasse_edges:
-        up[u] |= 1 << (v - starts[band[v]])
+    for v in range(nv):
+        bit = 1 << (v - starts[band[v]])
+        for u in iv.covers(v):
+            up[u] |= bit
     minima = _orbit_minima(iv)
     # ready[p]: the vertices whose last predecessor in search order is p
     ready: list[list[int]] = [[] for _ in range(nv)]

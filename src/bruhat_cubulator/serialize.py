@@ -3,24 +3,25 @@
 Documents carry a top-level ``schema`` key.  Words are arrays of integer
 generator labels, never digit strings.  A serialized search outcome
 carries its status and node counts, so identical jobs produce
-byte-identical output.  Few distinct values fill the largest columns, so
-the interval document holds one list per distinct reflection label and
-the KL document one per distinct P or R coefficient tuple.
+byte-identical output.  A document's long lists (vertices, edges, KL
+pairs, certificate entries) are each a ``Table``: parallel columns, with
+no dict per row.  Few distinct values fill the largest columns, so the
+interval document holds one list per distinct reflection label and the
+KL document one per distinct P or R coefficient tuple.
 
 ``chunks(doc)`` yields the text of ``json.dumps(doc, sort_keys=True,
-indent=2) + "\n"`` in pieces, byte for byte on every input, and is the one
-encoder: the CLI writes each piece as it is made, so no command holds the
-whole text, and ``dumps(doc)`` joins the pieces.  The standard-library call
-stays the test oracle.  A top-level dict goes key by key, and a list under
-a top-level key goes ``SLICE`` items at a time.  With an
-``indent`` the standard library encodes in pure Python and lists every
-token before it joins them, so a slice is encoded one column at a time
-instead:
+indent=2) + "\n"``, a table standing for its rows, in pieces, byte for
+byte on every input, and is the one encoder: the CLI writes each piece
+as it is made, so no command holds the whole text, and ``dumps(doc)``
+joins the pieces.  The standard-library call stays the test oracle.  A
+top-level dict goes key by key, and a list or table under a top-level key
+goes ``SLICE`` items at a time.  With an ``indent`` the standard library
+encodes in pure Python and lists every token before it joins them, so a
+slice is encoded one column at a time instead:
 - a list of ints or of strs in one C-speed ``map``;
 - a list of lists of ints (words, pairs) in one ``join`` per list;
-- a list of records (dicts with one shared set of str keys) one key's
-  column at a time, the rows filled in through one ``%`` template, and each
-  distinct object of a non-int column encoded once.
+- a table one column at a time, the rows filled in through one ``%``
+  template, and each distinct object of a non-int column encoded once.
 Any other value takes a per-node path, and a scalar that path does not
 know (a float, say) gets the standard library's own text.  If the encoder
 fails on a document, the standard library's text supplies the rest of
@@ -31,8 +32,9 @@ library's.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
-from itertools import chain
+from array import array
+from collections.abc import Iterator, Sequence
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -50,6 +52,35 @@ _CHECKPOINT_FIELDS = ("system", "top", "search_rules", "shape", "path", "min_id"
 
 # list items encoded into one piece by ``chunks``
 SLICE = 512
+
+
+class Table(Sequence):
+    """Rows held as parallel columns, which reads as the list of its rows.
+
+    ``Table({"a": xs, "b": ys})`` reads as [{"a": xs[0], "b": ys[0]}, ...],
+    for str keys; ``Table([xs, ys])`` reads as [[xs[0], ys[0]], ...].  The
+    columns, one or more of one length, are lists, ranges or int arrays; a
+    slice of a table is the table of the columns' slices.
+    """
+
+    __slots__ = ("keys", "columns")
+
+    def __init__(self, columns):
+        self.keys = tuple(columns) if isinstance(columns, dict) else None
+        self.columns = tuple(columns.values()) if self.keys is not None else tuple(columns)
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        row = self._row([c[i] for c in self.columns])
+        return Table(row) if isinstance(i, slice) else row
+
+    def __iter__(self):
+        return map(self._row, zip(*self.columns))
+
+    def _row(self, cells):
+        return list(cells) if self.keys is None else dict(zip(self.keys, cells))
 
 
 def chunks(doc) -> Iterator[str]:
@@ -77,7 +108,7 @@ def _pieces(doc) -> Iterator[str]:
         head = "{\n  "
         for key, value in sorted(doc.items()):
             head += _key(key) + ": "
-            if isinstance(value, (list, tuple)) and value:
+            if isinstance(value, (list, tuple, Table)) and value:
                 yield from _slices(value, 1, head + "[")
             else:
                 yield head + _value(value, 1)
@@ -101,7 +132,14 @@ def _slices(items, level: int, opening: str) -> Iterator[str]:
 
 
 def _stdlib(value) -> str:
-    return json.dumps(value, sort_keys=True, indent=2)
+    return json.dumps(value, sort_keys=True, indent=2, default=_rows)
+
+
+def _rows(value) -> list:
+    """A table's rows for the standard library, which refuses any other value itself."""
+    if isinstance(value, Table):
+        return list(value)
+    return json.JSONEncoder().default(value)
 
 
 def _value(value, level: int) -> str:
@@ -116,7 +154,7 @@ def _value(value, level: int) -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, Table)):
         if not value:
             return "[]"
         opening, closing, texts = "[", "]", _column(value, level + 1)
@@ -145,6 +183,8 @@ def _key(key) -> str:
 
 def _column(items, level: int) -> list[str]:
     """The text of each of ``items``, all at nesting ``level``."""
+    if isinstance(items, Table):
+        return _records(items, level)
     kinds = set(map(type, items))
     if kinds == {int}:
         return list(map(int.__repr__, items))
@@ -155,54 +195,60 @@ def _column(items, level: int) -> list[str]:
         inner = "\n" + "  " * (level + 1)
         head, sep, tail = "[" + inner, "," + inner, "\n" + "  " * level + "]"
         return [head + sep.join(map(int.__repr__, item)) + tail if item else "[]" for item in items]
-    if kinds == {dict}:
-        shapes = set(map(tuple, items))
-        if len(shapes) == 1:
-            (keys,) = shapes
-            if keys and set(map(type, keys)) == {str}:
-                return _records(items, sorted(keys), level)
     return [_value(item, level) for item in items]
 
 
-def _records(items, keys: list[str], level: int) -> list[str]:
-    """The text of each dict of ``items``, all with the str ``keys``, one column per key."""
-    fields, columns = [], []
-    for key in keys:
-        values = list(map(itemgetter(key), items))
+def _records(table: Table, level: int) -> list[str]:
+    """The text of each row of ``table`` at nesting ``level``, one column at a time."""
+    keys, columns = table.keys, table.columns
+    if keys is not None:
+        keys, columns = zip(*sorted(zip(keys, columns), key=itemgetter(0)))
+    fields, texts = [], []
+    for column in columns:
+        values = list(column)
         if set(map(type, values)) == {int}:
             # "%d" formats an int as int.__repr__ does, with no str per cell
-            fields.append(_key(key).replace("%", "%%") + ": %d")
-            columns.append(values)
+            fields.append("%d")
+            texts.append(values)
         else:
-            fields.append(_key(key).replace("%", "%%") + ": %s")
+            fields.append("%s")
             if len(set(map(id, values))) == len(values):
-                columns.append(_column(values, level + 1))
+                texts.append(_column(values, level + 1))
             else:  # one text per distinct object, such as a word shared by many edges
                 distinct = dict(zip(map(id, values), values))
-                texts = dict(zip(distinct, _column(list(distinct.values()), level + 1)))
-                columns.append(list(map(texts.__getitem__, map(id, values))))
+                encoded = dict(zip(distinct, _column(list(distinct.values()), level + 1)))
+                texts.append(list(map(encoded.__getitem__, map(id, values))))
+    opening, closing = "[]"
+    if keys is not None:
+        opening, closing = "{}"
+        fields = [_key(k).replace("%", "%%") + ": " + f for k, f in zip(keys, fields)]
     inner = "\n" + "  " * (level + 1)
-    template = "{" + inner + ("," + inner).join(fields) + "\n" + "  " * level + "}"
-    return list(map(template.__mod__, zip(*columns)))
+    template = opening + inner + ("," + inner).join(fields) + "\n" + "  " * level + closing
+    return list(map(template.__mod__, zip(*texts)))
+
+
+def _vertices(iv: BruhatInterval) -> Table:
+    return Table(
+        {"id": range(len(iv)), "word": [list(el.word) for el in iv.vertices], "length": iv.lengths}
+    )
 
 
 def interval_doc(iv: BruhatInterval) -> dict:
+    sources, targets, labels = iv.edges()
     # few reflections label many edges: one word list per reflection
-    words = {t: list(t.word) for t in set(map(itemgetter(2), iv.bruhat_edges))}
+    words = [list(t.word) for t in iv.labels[0]]
+    lengths = iv.lengths
+    covers = [lengths[u] + 1 == lengths[v] for u, v in zip(sources, targets)]
+    hasse = [array("i", compress(sources, covers)), array("i", compress(targets, covers))]
+    reflections = list(map(words.__getitem__, labels))
     return {
         "schema": SCHEMA,
         "kind": "interval",
         "system": iv.system.descriptor,
         "top": list(iv.top.word),
-        "vertices": [
-            {"id": i, "word": list(el.word), "length": el.length}
-            for i, el in enumerate(iv.vertices)
-        ],
-        "hasse_edges": [[u, v] for u, v in iv.hasse_edges],
-        "bruhat_edges": [
-            {"source": u, "target": v, "reflection": words[t]}
-            for u, v, t in iv.bruhat_edges
-        ],
+        "vertices": _vertices(iv),
+        "hasse_edges": Table(hasse),
+        "bruhat_edges": Table({"source": sources, "target": targets, "reflection": reflections}),
     }
 
 
@@ -212,13 +258,12 @@ def interval_dot(iv: BruhatInterval) -> Iterator[str]:
     for i, el in enumerate(iv.vertices):
         label = "e" if not el.word else "".join(f"s{a}" for a in el.word)
         yield f'  v{i} [label="{label}"];\n'
-    by_length: dict[int, list[int]] = {}
-    for i, l in enumerate(iv.lengths):
-        by_length.setdefault(l, []).append(i)
-    for l in sorted(by_length):
-        row = " ".join(f"v{i};" for i in by_length[l])
+    starts = iv.starts
+    for a, b in zip(starts, starts[1:]):
+        row = " ".join(f"v{i};" for i in range(a, b))
         yield f"  {{ rank=same; {row} }}\n"
-    for u, v, _ in iv.bruhat_edges:
+    sources, targets, _ = iv.edges()
+    for u, v in zip(sources, targets):
         yield f"  v{u} -> v{v};\n"
     yield "}\n"
 
@@ -237,41 +282,35 @@ def kl_doc(table: KLTable) -> dict:
     """The table's P and R at every pair x <= y; few distinct polynomials
     fill the pairs, so each coefficient tuple gets one list."""
     iv = table.interval
-    lists, pairs = {}, []
+    lists = {}
+    xs, ys, ps, rs = array("i"), array("i"), [], []
     for x_id, y_id, p, r in table.pairs():
-        pairs.append(
-            {
-                "x": x_id,
-                "y": y_id,
-                "P": lists.get(p) or lists.setdefault(p, list(p)),
-                "R": lists.get(r) or lists.setdefault(r, list(r)),
-            }
-        )
+        xs.append(x_id)
+        ys.append(y_id)
+        ps.append(lists.get(p) or lists.setdefault(p, list(p)))
+        rs.append(lists.get(r) or lists.setdefault(r, list(r)))
     return {
         "schema": SCHEMA,
         "kind": "kl-table",
         "system": iv.system.descriptor,
         "top": list(iv.top.word),
-        "vertices": [
-            {"id": i, "word": list(el.word), "length": el.length}
-            for i, el in enumerate(iv.vertices)
-        ],
-        "pairs": pairs,
+        "vertices": _vertices(iv),
+        "pairs": Table({"x": xs, "y": ys, "P": ps, "R": rs}),
         "report": report_doc(table_report(table)),
     }
 
 
 def certificate_doc(iv: BruhatInterval, cert) -> dict:
+    coords, ids = zip(*sorted(cert.assignment.items()))
     return {
         "lattice": list(cert.lattice.params),
-        "assignment": [
+        "assignment": Table(
             {
-                "coords": list(coords),
-                "id": vid,
-                "word": list(iv.vertices[vid].word),
+                "coords": list(map(list, coords)),
+                "id": list(ids),
+                "word": [list(iv.vertices[i].word) for i in ids],
             }
-            for coords, vid in sorted(cert.assignment.items())
-        ],
+        ),
     }
 
 

@@ -37,8 +37,8 @@ BALL_SAMPLES = ((20240823, 4), (20260823, 3))
 def interval_counts():
     iv = interval(build_system("A2").longest_element())
     assert len(iv.vertices) == 6
-    assert len(iv.bruhat_edges) == 9
-    assert len(iv.hasse_edges) == 8
+    assert len(iv.deletions) == 9
+    assert sum(len(iv.covers(v)) for v in range(len(iv))) == 8
 
 
 def kl_spot():

@@ -21,6 +21,7 @@ from bruhat_cubulator.cube import CubicalLattice
 from bruhat_cubulator.kl import r_polynomial
 from bruhat_cubulator.growth import _affine_exponents, poincare_truncation
 from bruhat_cubulator.polynomials import ONE, IntPoly, SeriesTruncation, quantum_poly
+from bruhat_cubulator.serialize import Table
 
 
 def subword_interval(y: Element) -> set[Element]:
@@ -350,5 +351,16 @@ def multiplication_table(system: CoxeterSystem) -> dict:
 
 
 def stdlib_dumps(doc) -> str:
-    """The standard library's text of ``doc``, which ``serialize.dumps`` must equal."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The standard library's text of ``doc``, which ``serialize.dumps`` must equal;
+    each ``serialize.Table`` in it stands for its rows."""
+    return json.dumps(doc, sort_keys=True, indent=2, default=_table_rows) + "\n"
+
+
+def _table_rows(value) -> list:
+    """The rows of a table, read off its keys and columns here, not by its own methods."""
+    if not isinstance(value, Table):
+        return json.JSONEncoder().default(value)  # the standard library's own error
+    rows = zip(*value.columns)
+    if value.keys is None:
+        return [list(row) for row in rows]
+    return [dict(zip(value.keys, row)) for row in rows]

@@ -110,10 +110,16 @@ class TestEdges:
 
     @pytest.mark.parametrize("tag,word", CASES)
     def test_deletions_are_the_edges(self, tag, word):
-        # the public recursion that kl reads out-degrees from
+        # the flat arrays that every consumer reads: v's slice holds its l(v)
+        # distinct one-letter deletions, and the covers are those one length down
         iv = interval(case_element(tag, word))
-        pairs = sorted((u, v) for v, deleted in enumerate(iv.deletions()) for u in deleted)
+        off = iv.offsets
+        deleted = [iv.deletions[off[v] : off[v + 1]].tolist() for v in range(len(iv))]
+        assert list(map(len, deleted)) == list(map(len, map(set, deleted))) == iv.lengths
+        pairs = sorted((u, v) for v, us in enumerate(deleted) for u in us)
         assert pairs == [(u, v) for u, v, _ in iv.bruhat_edges]
+        covers = sorted((u, v) for v in range(len(iv)) for u in iv.covers(v))
+        assert covers == iv.hasse_edges
 
     def test_out_degrees_a2(self, a2):
         iv = interval(a2.longest_element())
@@ -142,7 +148,7 @@ class TestLazyEdges:
         atilde2, b3 = build_system("Atilde2"), build_system("B3")
         with monkeypatch.context() as patch:
             patch.setattr(BruhatInterval, "action", property(refuse))
-            patch.setattr(BruhatInterval, "deletions", refuse)
+            patch.setattr(BruhatInterval, "deletions", property(refuse))
             assert len(cx.atilde2_trivial_enumeration(atilde2, 8)) > 0
             assert len(cx.atilde2_cubulation(atilde2, 4).interval) == 90
             assert all_trivial(b3.longest_element())

@@ -17,6 +17,7 @@ import sys
 import pytest
 
 import bruhat_cubulator
+from bruhat_cubulator.bruhat import BruhatInterval
 from bruhat_cubulator.cli import main
 
 GOLDEN = [
@@ -156,6 +157,11 @@ GOLDEN = [
         0,
         "854ac56fc12aa52f69e948d66ae7d367a2876b2b65e588d5dfd2797a28a8a504",
     ),
+    (
+        ("interval", "--system", "B3", "--element", "w0", "--format", "dot"),
+        0,
+        "7766a9129ff430e2037790066723e963298648cde9243c8c49bbbb3c27eb1b9a",
+    ),
 ]
 
 
@@ -165,6 +171,31 @@ def test_stdout_digest(capsys, argv, exit_code, digest):
     out = capsys.readouterr().out
     assert code == exit_code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_no_command_builds_an_edge_list_view(capsys, monkeypatch):
+    """Every command reads the interval's edge arrays: none makes the labelled
+    triples or the Hasse pairs, and each still prints its GOLDEN bytes."""
+
+    def refuse(self):
+        raise AssertionError("an edge list view was built")
+
+    monkeypatch.setattr(BruhatInterval, "bruhat_edges", property(refuse))
+    monkeypatch.setattr(BruhatInterval, "hasse_edges", property(refuse))
+    jobs = [
+        ("interval", "--system", "D4", "--element", "w0"),
+        ("interval", "--system", "B3", "--element", "w0", "--format", "dot"),
+        ("kl", "--system", "B3", "--element", "w0"),
+        ("cubulate", "--system", "B3", "--element", "w0"),
+        ("construct", "--system", "B3", "--construction", "path-forest"),
+        ("construct", "--system", "Atilde2", "--construction", "atilde2", "--m", "3"),
+        ("suite", "smoke"),
+    ]
+    for argv in jobs:
+        code = main(list(argv))
+        out = capsys.readouterr()
+        digest = hashlib.sha256(out.out.encode("utf-8")).hexdigest()
+        assert (code, digest, out.err) == next((c, d, "") for a, c, d in GOLDEN if a == argv)
 
 
 def run_without(argv, blocked):

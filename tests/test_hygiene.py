@@ -139,3 +139,17 @@ def test_one_serialization_path():
     assert callers == ["serialize.py"]
     # the commands write the pieces as they are made, never the joined text
     assert [p.name for p in package if "dumps(" in p.read_text()] == ["serialize.py"]
+
+
+def test_edge_list_views_stay_in_bruhat():
+    """The package reads the Bruhat edges from their arrays: ``bruhat_edges`` and
+    ``hasse_edges`` are views for readers outside it, so no other module reads them."""
+    package = sorted((_ROOT / "src" / "bruhat_cubulator").glob("*.py"))
+    readers = [
+        f"{p.name}:{node.lineno}"
+        for p in package
+        if p.name != "bruhat.py"
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("bruhat_edges", "hasse_edges")
+    ]
+    assert readers == []

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 import weakref
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,7 +38,7 @@ class TestStability:
     def test_outcome_doc_excludes_timing(self, a2):
         out = cubulate(a2.longest_element())
         doc = serialize.outcome_doc(interval(a2.longest_element()), out)
-        assert "wall_time" not in json.dumps(doc)
+        assert "wall_time" not in serialize.dumps(doc)
         assert doc["stats"]["status"] == "Found"
         # two runs of the same job serialize identically
         out2 = cubulate(a2.longest_element())
@@ -278,6 +279,42 @@ def _containers(children):
     )
 
 
+@st.composite
+def _tables(draw):
+    """Tables of one to three columns of one length: ints in a list, an int
+    array or a range; strs; bools; and words, each row's its own list or one
+    of a few shared ones.  Str keys, or rows read as lists."""
+    n = draw(st.integers(0, 5))
+
+    def cells(values):
+        return st.lists(values, min_size=n, max_size=n)
+
+    word = st.lists(st.integers(0, 9), max_size=3)
+    shared = st.lists(word, min_size=1, max_size=3).flatmap(lambda pool: cells(st.sampled_from(pool)))
+    column = (
+        cells(st.integers())
+        | cells(st.integers(-(2**31), 2**31 - 1)).map(lambda xs: array("i", xs))
+        | st.integers(-3, 3).map(lambda a: range(a, a + n))
+        | cells(st.text(max_size=3))
+        | cells(st.booleans())
+        | cells(word)
+        | shared
+    )
+    columns = draw(st.lists(column, min_size=1, max_size=3))
+    keys = draw(st.none() | st.lists(_KEYS, min_size=len(columns), max_size=len(columns), unique=True))
+    return serialize.Table(columns if keys is None else dict(zip(keys, columns)))
+
+
+# documents holding tables: sliced under a top-level key, and nested in a
+# list and in a dict
+_table_documents = st.fixed_dictionaries(
+    {
+        "a": _tables(),
+        "b": st.lists(_tables() | st.integers(), max_size=2),
+        "c": _tables().map(lambda t: {"t": t}),
+    }
+)
+
 # nested JSON values, with the kinds that the encoder's paths tell apart
 _json = st.recursive(_SCALARS, _containers, max_leaves=12)
 # documents: ``chunks`` slices the lists under a top-level key
@@ -413,6 +450,20 @@ class TestEncoderOracle:
         # only the lists under a top-level key are sliced
         assert list(serialize.chunks([[1], None])) == ["[\n  [\n    1\n  ],\n  null\n]\n"]
 
+    def test_d5_interval_document_is_built_and_encoded_in_little_memory(self):
+        # the edges go from the interval's arrays to the text as columns, with
+        # no tuple, pair or dict per edge; a fresh system, so that the
+        # interval's elements are made under the trace too
+        w0 = build_system("D5").longest_element()
+        tracemalloc.start()
+        try:
+            for _ in serialize.chunks(serialize.interval_doc(interval(w0))):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6, peak
+
     def test_d5_interval_document_streams_in_little_memory(self):
         # the whole 3.4 MB text, as dumps makes it, against one slice at a time
         doc = serialize.interval_doc(interval(system("D5").longest_element()))
@@ -435,6 +486,26 @@ class TestEncoderOracle:
     @example(_place([[], ["a", None]], [0, 1, 1, [2]]))
     def test_matches_the_standard_library(self, doc):
         assert _outcome(serialize.dumps, doc) == _outcome(stdlib_dumps, doc)
+
+    @pytest.mark.parametrize("size", [1, 2, serialize.SLICE])
+    @settings(max_examples=60, deadline=None)
+    @given(_table_documents)
+    @example({"a": serialize.Table({"%d": [[1]] * 3, "n": array("i", [5, 6, 7])}), "b": [], "c": {}})
+    def test_tables_match_the_standard_library(self, size, doc):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(serialize, "SLICE", size)
+            joined = "".join(serialize.chunks(doc))
+        assert joined == stdlib_dumps(doc)
+
+    def test_a_table_reads_as_its_rows(self):
+        word = [1, 2]
+        table = serialize.Table({"id": range(3), "word": [word, [], word]})
+        rows = [{"id": 0, "word": [1, 2]}, {"id": 1, "word": []}, {"id": 2, "word": [1, 2]}]
+        assert list(table) == rows and len(table) == 3
+        assert table[1] == rows[1] and list(table[1:]) == rows[1:]
+        assert table[0]["word"] is table[2]["word"] is word
+        pairs = serialize.Table([array("i", [0, 0]), array("i", [1, 2])])
+        assert list(pairs) == [[0, 1], [0, 2]] and pairs[-1] == [0, 2]
 
     @pytest.mark.parametrize("size", [1, 2, serialize.SLICE])
     @settings(max_examples=60, deadline=None)
