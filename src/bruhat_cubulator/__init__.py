@@ -20,9 +20,7 @@ _EXPORTS = {
         "CPReport", "KLConsistencyError", "KLTable", "all_trivial", "carrell_peterson_report",
         "kl_polynomial", "kl_table", "r_polynomial",
     ),
-    "polynomials": (
-        "IntPoly", "SeriesTruncation", "is_palindromic", "quantum_factorizations", "quantum_poly",
-    ),
+    "polynomials": ("IntPoly", "is_palindromic", "quantum_factorizations", "quantum_poly"),
     "search": (
         "BUDGET_EXCEEDED", "EXHAUSTED", "FOUND", "Cubulation", "SearchOutcome",
         "candidate_shapes", "cubulate", "verify_certificate",

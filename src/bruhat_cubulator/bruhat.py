@@ -46,9 +46,9 @@ class BruhatInterval:
     and ``action[s][u]``, the id of s*u, or -1 when s*u is outside [1, y].
     The edges are ``deletions``, v's from ``offsets[v]`` on, and
     ``labels``; they, ``below_masks`` and ``action`` are built on first
-    read.  The lists ``bruhat_edges``, of triples (u_id, v_id, t) with t
-    the reflection u^-1 v, and ``hasse_edges`` are views made from them on
-    first read.
+    read, and ``covers(v)`` reads the Hasse edges into v off them.  The
+    list ``bruhat_edges``, of triples (u_id, v_id, t) with t the reflection
+    u^-1 v, is a view made from them on first read.
     """
 
     def __init__(self, system: CoxeterSystem, top: Element):
@@ -59,7 +59,6 @@ class BruhatInterval:
         self.vertices, self.key_ids, self.letter, self.below, self.starts = (
             system._sorted_elements(subword_closure(system, top.iword))
         )
-        self.index = {el: i for i, el in enumerate(self.vertices)}
         self.lengths = [el.length for el in self.vertices]
         # v's deletions are deletions[offsets[v]:offsets[v + 1]], l(v) of them
         self.offsets = array("i", accumulate(self.lengths, initial=0))
@@ -143,7 +142,7 @@ class BruhatInterval:
                 x = below[x]
         return sources, targets, labels
 
-    # -- edge lists, views for a reader outside the package -----------------
+    # -- an edge list, a view for a reader outside the package ---------------
 
     @cached_property
     def bruhat_edges(self) -> list[tuple]:
@@ -151,18 +150,12 @@ class BruhatInterval:
         sources, targets, labels = self.edges()
         return list(zip(sources, targets, map(self.labels[0].__getitem__, labels)))
 
-    @cached_property
-    def hasse_edges(self) -> list[tuple]:
-        """The pairs (u_id, v_id) with v covering u, in (u, v) order."""
-        lengths = self.lengths
-        sources, targets, _ = self.edges()
-        return [(u, v) for u, v in zip(sources, targets) if lengths[u] + 1 == lengths[v]]
-
     def __len__(self):
         return len(self.vertices)
 
     def __contains__(self, el: Element) -> bool:
-        return el in self.index
+        # two systems built alike share keys, so the system is checked too
+        return el.system is self.system and el.key in self.key_ids
 
     @cached_property
     def below_masks(self) -> list[int]:

@@ -265,21 +265,21 @@ def _cmd_growth(args) -> int:
     order = args.order
     w = growth.poincare_truncation(system, order)
     # the ball sizes are the coefficients of Gamma(z) = W(z) / (1 - z)
-    balls = list(accumulate(w.coeffs))
+    balls = list(accumulate(w))
     doc = {
         "schema": serialize.SCHEMA,
         "kind": "growth",
         "system": system.descriptor,
         "order": order,
         "ball_sizes": balls,
-        "poincare": list(w.coeffs),
+        "poincare": list(w),
         "volume_growth": balls,
         "bott": None,
         "minimal_nonspherical_L": None,
         "probe": None,
     }
     try:
-        doc["bott"] = list(growth.bott_truncation(system, order).coeffs)
+        doc["bott"] = list(growth.bott_truncation(system, order))
     except ValueError:
         pass
     try:

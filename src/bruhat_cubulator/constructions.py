@@ -63,7 +63,7 @@ def path_forest_cubulation(system: CoxeterSystem) -> ConstructionResult:
         for j, m in enumerate(coords):
             word.extend(paths[j][:m])
         el = system.element(word)
-        assignment[coords] = iv.index[el]
+        assignment[coords] = iv.key_ids[el.key]
     tag = "nff-A" if all(k == j + 1 for j, k in enumerate(params)) else "nff-B"
     return _certify(iv, lattice, assignment, tag)
 
@@ -84,7 +84,7 @@ def standard_parabolic_coxeter_cubulation(y: Element) -> ConstructionResult:
     assignment = {}
     for bits in product((0, 1), repeat=k):
         sub = tuple(a for a, b in zip(word, bits) if b)
-        assignment[bits] = iv.index[y.system.element(sub)]
+        assignment[bits] = iv.key_ids[y.system.element(sub).key]
     return _certify(iv, lattice, assignment, "boolean")
 
 
@@ -107,8 +107,8 @@ def dihedral_cubulation(y: Element) -> ConstructionResult:
     lattice = CubicalLattice((1, k - 1))
     assignment = {}
     for j in range(k):
-        assignment[(0, j)] = iv.index[sys.element(alternating(b, j))]
-        assignment[(1, j)] = iv.index[sys.element((a,) + alternating(b, j))]
+        assignment[(0, j)] = iv.key_ids[sys.element(alternating(b, j)).key]
+        assignment[(1, j)] = iv.key_ids[sys.element((a,) + alternating(b, j)).key]
     return _certify(iv, lattice, assignment, "dihedral")
 
 
@@ -174,9 +174,9 @@ def atilde2_cubulation(system: CoxeterSystem, m: int) -> ConstructionResult:
     for (k2, k3), el in level0.items():
         lvl1 = g[1] * el
         lvl2 = g[2] * lvl1
-        assignment[(0, k2, k3)] = iv.index[el]
-        assignment[(1, k2, k3)] = iv.index[lvl1]
-        assignment[(2, k2, k3)] = iv.index[lvl2]
+        assignment[(0, k2, k3)] = iv.key_ids[el.key]
+        assignment[(1, k2, k3)] = iv.key_ids[lvl1.key]
+        assignment[(2, k2, k3)] = iv.key_ids[lvl2.key]
     return _certify(iv, lattice, assignment, "atilde2")
 
 

@@ -1,6 +1,7 @@
 """Ball growth, Poincare series truncations, and Bott's product formula.
 
-All series live as exact integer truncations.  The quantum-shape probe
+A series truncated at order k is the tuple of its coefficients 0..k,
+exact integers, k + 1 of them.  The quantum-shape probe
 factors truncations of (1 - z)^|S| W(z) into products of (1 - z^a) terms.
 Such a factorization through order j is unique when it exists (its
 exponents are fixed one coefficient at a time), so the probe peels the
@@ -16,7 +17,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .coxeter import CoxeterSystem, Element
-from .polynomials import SeriesTruncation, euler_exponents
+from .polynomials import euler_exponents
 
 
 def exponents(tag) -> tuple[int, ...]:
@@ -70,19 +71,19 @@ def ball_sizes(system: CoxeterSystem, radius: int) -> list[int]:
     return list(accumulate(system.ball_layer_counts(radius)))
 
 
-def poincare_truncation(system: CoxeterSystem, order: int) -> SeriesTruncation:
+def poincare_truncation(system: CoxeterSystem, order: int) -> tuple[int, ...]:
     """Truncation of W(z), the length generating series of the group."""
     if order < 0:
         raise ValueError("order must be non-negative")
-    return SeriesTruncation(system.ball_layer_counts(order), order)
+    return tuple(system.ball_layer_counts(order))
 
 
-def volume_growth_truncation(system: CoxeterSystem, order: int) -> SeriesTruncation:
+def volume_growth_truncation(system: CoxeterSystem, order: int) -> tuple[int, ...]:
     """Truncation of the volume growth series, with (1 - z) Gamma(z) = W(z)."""
-    return SeriesTruncation(ball_sizes(system, order), order)
+    return tuple(ball_sizes(system, order))
 
 
-def bott_truncation(system: CoxeterSystem, order: int) -> SeriesTruncation:
+def bott_truncation(system: CoxeterSystem, order: int) -> tuple[int, ...]:
     """Bott's product formula for the series of an irreducible affine system.
 
     W(z) = prod over exponents e of (1 - z^(e+1)) / ((1 - z)(1 - z^e)),
@@ -95,7 +96,7 @@ def bott_truncation(system: CoxeterSystem, order: int) -> SeriesTruncation:
         _mul_one_minus_z_pow(coeffs, e + 1, 1)
         _mul_one_minus_z_pow(coeffs, 1, -1)
         _mul_one_minus_z_pow(coeffs, e, -1)
-    return SeriesTruncation(coeffs, order)
+    return tuple(coeffs)
 
 
 def _mul_one_minus_z_pow(coeffs: list[int], a: int, power: int):
@@ -167,15 +168,15 @@ class GrowthProbeReport(NamedTuple):
     caveat: str = "finite truncation only; not evidence about the full series"
 
 
-def growth_quantum_probe(system: CoxeterSystem, w: SeriesTruncation) -> GrowthProbeReport:
+def growth_quantum_probe(system: CoxeterSystem, w: tuple[int, ...]) -> GrowthProbeReport:
     """Probe the truncation w of the system's W(z), as ``poincare_truncation`` gives it."""
-    order = w.order
+    order = len(w) - 1
     if order < 1:
         raise ValueError("order must be at least 1")
     if system.is_finite():
         raise ValueError("the probe applies to infinite systems")
     n = system.rank
-    f = list(w.coeffs)
+    f = list(w)
     for _ in range(n):
         _mul_one_minus_z_pow(f, 1, 1)
     shapes_by_order: dict[int, tuple] = {}

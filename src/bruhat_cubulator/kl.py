@@ -38,7 +38,7 @@ def r_polynomial(x: Element, y: Element) -> IntPoly:
     if not x.system.bruhat_leq(x, y):
         return ZERO
     iv = interval(y)
-    return KLTable(iv).R(iv.index[x], len(iv) - 1)
+    return KLTable(iv).R(iv.key_ids[x.key], len(iv) - 1)
 
 
 class KLTable:
@@ -220,7 +220,7 @@ def kl_polynomial(x: Element, y: Element) -> IntPoly:
     if not x.system.bruhat_leq(x, y):
         return ZERO
     table = kl_table(y)
-    x_id = table.interval.index[x]
+    x_id = table.interval.key_ids[x.key]
     return table.P(x_id, len(table.interval.vertices) - 1)
 
 

@@ -196,38 +196,3 @@ def quantum_factorizations(p: IntPoly) -> set[tuple[int, ...]]:
     # so it is no longer than p: q == p
     return {tuple(a for a, k in enumerate(c, 1) for _ in range(k))}
 
-
-class SeriesTruncation:
-    """The first k+1 coefficients of a formal power series."""
-
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs: Iterable[int], order: int):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != order + 1:
-            raise ValueError(f"expected {order + 1} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SeriesTruncation is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, SeriesTruncation):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.coeffs, self.order))
-
-    def as_poly(self) -> IntPoly:
-        return IntPoly(self.coeffs)
-
-    def mul_poly(self, p: IntPoly) -> "SeriesTruncation":
-        prod = self.as_poly() * p
-        c = prod.coeffs + (0,) * (self.order + 1 - len(prod.coeffs))
-        return SeriesTruncation(c[: self.order + 1], self.order)
-
-    def __repr__(self):
-        return f"SeriesTruncation({list(self.coeffs)}, order={self.order})"
-

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from functools import partial
+from operator import sub
 
 from . import constructions as cx
 from . import growth, search
@@ -90,7 +91,7 @@ def boolean_construction():
 def atilde2_coefficients(order):
     """The Atilde2 Poincare series starts 1, 3, 6, 9, ..., 3 * order."""
     t = growth.poincare_truncation(build_system("Atilde2"), order)
-    assert t.coeffs == (1,) + tuple(3 * k for k in range(1, order + 1)), t.coeffs
+    assert t == (1,) + tuple(3 * k for k in range(1, order + 1)), t
 
 
 def path_forest_verifies(tag):
@@ -130,11 +131,12 @@ def bott_agreement():
 
 
 def growth_identity():
-    one_minus_z = IntPoly((1, -1))
     for tag in AFFINE_GROWTH_TAGS + ("A3",):
         system = build_system(tag)
         gamma = growth.volume_growth_truncation(system, 10)
-        assert gamma.mul_poly(one_minus_z) == growth.poincare_truncation(system, 10), tag
+        # (1 - z) Gamma(z) = W(z) through z^10: W's coefficients are Gamma's differences
+        w = tuple(map(sub, gamma, (0,) + gamma))
+        assert w == growth.poincare_truncation(system, 10), tag
 
 
 def ball_in_interval_samples():

@@ -20,7 +20,7 @@ from bruhat_cubulator.coxeter import CoxeterSystem, Element
 from bruhat_cubulator.cube import CubicalLattice
 from bruhat_cubulator.kl import r_polynomial
 from bruhat_cubulator.growth import _affine_exponents, poincare_truncation
-from bruhat_cubulator.polynomials import ONE, IntPoly, SeriesTruncation, quantum_poly
+from bruhat_cubulator.polynomials import ONE, IntPoly, quantum_poly
 from bruhat_cubulator.serialize import Table
 
 
@@ -90,7 +90,7 @@ def naive_cubulate(y: Element) -> tuple[str, dict | None]:
             return False
 
         if extend(0):
-            return "Found", {v: iv.index[el] for v, el in assignment.items()}
+            return "Found", {v: iv.key_ids[el.key] for v, el in assignment.items()}
     return "Exhausted", None
 
 
@@ -126,12 +126,13 @@ def brute_force_shapes_by_order(system: CoxeterSystem, order: int) -> dict[int, 
     product of (1 - z^a) agrees with (1 - z)^|S| W(z) through order j.
     """
     n = system.rank
-    f = poincare_truncation(system, order)
+    f = IntPoly(poincare_truncation(system, order))
     for _ in range(n):
-        f = f.mul_poly(IntPoly((1, -1)))
+        f = f * IntPoly((1, -1))
+    f_coeffs = f.coeffs + (0,) * (order + 1)
     shapes_by_order: dict[int, tuple] = {}
     for j in range(1, order + 1):
-        target = f.coeffs[: j + 1]
+        target = f_coeffs[: j + 1]
         found = []
         for count in range(n + 1):
             for combo in combinations_with_replacement(range(1, j + 1), count):
@@ -145,7 +146,7 @@ def brute_force_shapes_by_order(system: CoxeterSystem, order: int) -> dict[int, 
     return shapes_by_order
 
 
-def bott_by_long_division(system: CoxeterSystem, order: int) -> SeriesTruncation:
+def bott_by_long_division(system: CoxeterSystem, order: int) -> tuple[int, ...]:
     """Bott's product formula as one quotient, expanded by exact long division.
 
     The numerator prod (1 - z^(e+1)) and the denominator prod (1 - z)(1 - z^e)
@@ -168,7 +169,7 @@ def bott_by_long_division(system: CoxeterSystem, order: int) -> SeriesTruncation
         out.append(acc / denom.coeffs[0])
     if any(c.denominator != 1 for c in out):
         raise ValueError("series has non-integer coefficients")
-    return SeriesTruncation([int(c) for c in out], order)
+    return tuple(int(c) for c in out)
 
 
 class RSumKLTable:

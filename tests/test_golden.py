@@ -175,13 +175,12 @@ def test_stdout_digest(capsys, argv, exit_code, digest):
 
 def test_no_command_builds_an_edge_list_view(capsys, monkeypatch):
     """Every command reads the interval's edge arrays: none makes the labelled
-    triples or the Hasse pairs, and each still prints its GOLDEN bytes."""
+    triples, and each still prints its GOLDEN bytes."""
 
     def refuse(self):
         raise AssertionError("an edge list view was built")
 
     monkeypatch.setattr(BruhatInterval, "bruhat_edges", property(refuse))
-    monkeypatch.setattr(BruhatInterval, "hasse_edges", property(refuse))
     jobs = [
         ("interval", "--system", "D4", "--element", "w0"),
         ("interval", "--system", "B3", "--element", "w0", "--format", "dot"),

@@ -142,8 +142,10 @@ def test_one_serialization_path():
 
 
 def test_edge_list_views_stay_in_bruhat():
-    """The package reads the Bruhat edges from their arrays: ``bruhat_edges`` and
-    ``hasse_edges`` are views for readers outside it, so no other module reads them."""
+    """The package reads the Bruhat edges from their arrays: ``bruhat_edges`` is
+    a view for readers outside it, and the Hasse edges are read through
+    ``covers``.  No other module reads either view's name, so a ``hasse_edges``
+    view put back would be caught too."""
     package = sorted((_ROOT / "src" / "bruhat_cubulator").glob("*.py"))
     readers = [
         f"{p.name}:{node.lineno}"

@@ -150,8 +150,8 @@ class TestKLPolynomials:
                 sub = kl_table(iv.vertices[y_id])
                 for x_id in range(y_id + 1):
                     if iv.leq_ids(x_id, y_id):
-                        x = iv.vertices[x_id]
-                        assert table.P(x_id, y_id) == sub.P(sub.interval.index[x], len(sub.interval) - 1)
+                        x_sub = sub.interval.key_ids[iv.vertices[x_id].key]
+                        assert table.P(x_id, y_id) == sub.P(x_sub, len(sub.interval) - 1)
 
 
 class TestKLTable:

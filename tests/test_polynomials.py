@@ -9,7 +9,6 @@ from bruhat_cubulator.polynomials import (
     ONE,
     ZERO,
     IntPoly,
-    SeriesTruncation,
     euler_exponents,
     is_palindromic,
     quantum_factorizations,
@@ -183,14 +182,3 @@ class TestEulerExponents:
         order = len(tail)
         assert _euler_product(euler_exponents(coeffs, order), order) == coeffs
 
-
-class TestSeries:
-    def test_truncation_shape(self):
-        t = SeriesTruncation((1, 2, 3), 2)
-        assert t.as_poly() == IntPoly((1, 2, 3))
-        with pytest.raises(ValueError):
-            SeriesTruncation((1, 2), 2)
-
-    def test_mul_poly(self):
-        t = SeriesTruncation((1, 1, 1), 2)
-        assert t.mul_poly(IntPoly((1, -1))).coeffs == (1, 0, 0)

@@ -93,6 +93,9 @@ class TestCosRing:
         # a value numerically tiny but nonzero still gets a definite sign
         tight = c * c * c - ring.scalar(3) * c * c + ring.one  # arbitrary nonzero combination
         assert tight.sign() in (-1, 1)
+        # 13 - 8c is about 0.056 at c = 2cos(pi/5), but -3 at the fresh bracket's
+        # top 2: the derivative bound must keep (0, 2) from deciding the sign
+        assert CosRing(5).sign((13, -8)) == 1
 
     @given(st.integers(min_value=-20, max_value=20), st.integers(min_value=-20, max_value=20))
     def test_sign_matches_float(self, a, b):
