@@ -10,23 +10,19 @@ interval document holds one list per distinct reflection label and the
 KL document one per distinct P or R coefficient tuple.
 
 ``chunks(doc)`` yields the text of ``json.dumps(doc, sort_keys=True,
-indent=2) + "\n"``, a table standing for its rows, in pieces, byte for
-byte on every input, and is the one encoder: the CLI writes each piece
-as it is made, so no command holds the whole text, and ``dumps(doc)``
-joins the pieces.  The standard-library call stays the test oracle.  A
-top-level dict goes key by key, and a list or table under a top-level key
-goes ``SLICE`` items at a time.  With an ``indent`` the standard library
-encodes in pure Python and lists every token before it joins them, so a
-slice is encoded one column at a time instead:
-- a list of ints or of strs in one C-speed ``map``;
+indent=2) + "\n"``, a table standing for its rows, in pieces, and is the
+one encoder: the CLI writes each piece as it is made, so no command holds
+the whole text, and ``dumps(doc)`` joins the pieces.  The standard-library
+call stays the test oracle.  One generator lays out every level: a dict,
+whose keys are strs, goes key by key, and a list or table ``SLICE`` items
+a piece.  With an ``indent`` the standard library encodes in pure Python
+and lists every token before it joins them, so a slice is encoded one
+column at a time instead:
+- a list of ints in one C-speed ``map``;
 - a list of lists of ints (words, pairs) in one ``join`` per list;
 - a table one column at a time, the rows filled in through one ``%``
   template, and each distinct object of a non-int column encoded once.
-Any other value takes a per-node path, and a scalar that path does not
-know (a float, say) gets the standard library's own text.  If the encoder
-fails on a document, the standard library's text supplies the rest of
-the pieces, or its error is raised, so that the errors stay the standard
-library's.
+Any other value is the standard library's own text, or its own error.
 """
 
 from __future__ import annotations
@@ -85,17 +81,8 @@ class Table(Sequence):
 
 def chunks(doc) -> Iterator[str]:
     """The text of ``doc`` in pieces of at most about ``SLICE`` list items."""
-    done = 0
-    try:
-        for piece in _pieces(doc):
-            done += len(piece)
-            yield piece
-    except (TypeError, ValueError, RecursionError):
-        # every piece so far is the standard library's text; it raises its
-        # own error for the first fault in document order (the columns may
-        # meet another one first), names a circular document, and encodes
-        # one nested deeper than this encoder's recursion reaches
-        yield (_stdlib(doc) + "\n")[done:]
+    yield from _pieces(doc, 0)
+    yield "\n"
 
 
 def dumps(doc) -> str:
@@ -103,82 +90,30 @@ def dumps(doc) -> str:
     return "".join(chunks(doc))
 
 
-def _pieces(doc) -> Iterator[str]:
-    if isinstance(doc, dict) and doc:
-        head = "{\n  "
-        for key, value in sorted(doc.items()):
-            head += _key(key) + ": "
-            if isinstance(value, (list, tuple, Table)) and value:
-                yield from _slices(value, 1, head + "[")
-            else:
-                yield head + _value(value, 1)
-            head = ",\n  "
-        yield "\n}\n"
+def _pieces(value, level: int) -> Iterator[str]:
+    """The text of ``value`` at nesting ``level``: a dict key by key, a list
+    or table ``SLICE`` items a piece, and any other value as the standard
+    library writes it."""
+    inner = "\n" + "  " * (level + 1)
+    if isinstance(value, dict) and value:
+        head = "{" + inner
+        for key, item in sorted(value.items()):
+            yield head + encode_basestring_ascii(key) + ": "
+            yield from _pieces(item, level + 1)
+            head = "," + inner
+        yield "\n" + "  " * level + "}"
+    elif isinstance(value, (list, Table)) and value:
+        head = "[" + inner
+        for start in range(0, len(value), SLICE):
+            yield head + ("," + inner).join(_column(value[start : start + SLICE], level + 1))
+            head = "," + inner
+        yield "\n" + "  " * level + "]"
+    elif isinstance(value, Table):
+        yield "[]"
     else:
-        yield _value(doc, 0) + "\n"
-
-
-def _slices(items, level: int, opening: str) -> Iterator[str]:
-    """The text of the list ``items`` at nesting ``level``, ``SLICE`` items a
-    piece; ``opening`` ends in the bracket."""
-    inner = "\n" + "  " * (level + 1)
-    head = opening + inner
-    for start in range(0, len(items), SLICE):
-        texts = _column(items[start : start + SLICE], level + 1)
-        texts[0] = head + texts[0]
-        yield ("," + inner).join(texts)
-        head = "," + inner
-    yield "\n" + "  " * level + "]"
-
-
-def _stdlib(value) -> str:
-    return json.dumps(value, sort_keys=True, indent=2, default=_rows)
-
-
-def _rows(value) -> list:
-    """A table's rows for the standard library, which refuses any other value itself."""
-    if isinstance(value, Table):
-        return list(value)
-    return json.JSONEncoder().default(value)
-
-
-def _value(value, level: int) -> str:
-    """The text of ``value`` at nesting ``level``, in the standard library's order of tests."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, (list, tuple, Table)):
-        if not value:
-            return "[]"
-        opening, closing, texts = "[", "]", _column(value, level + 1)
-    elif isinstance(value, dict):
-        if not value:
-            return "{}"
-        opening, closing = "{", "}"
-        texts = [f"{_key(k)}: {_value(v, level + 1)}" for k, v in sorted(value.items())]
-    else:  # a float, or a value the standard library refuses
-        return _stdlib(value)
-    # the brackets join the first and last texts, so the text is copied once
-    inner = "\n" + "  " * (level + 1)
-    texts[0] = opening + inner + texts[0]
-    texts[-1] += "\n" + "  " * level + closing
-    return ("," + inner).join(texts)
-
-
-def _key(key) -> str:
-    """A dict key's text, coerced to a string as the standard library does."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, (int, float)) or key is None:  # a bool is an int
-        return encode_basestring_ascii(_stdlib(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+        # JSON text breaks lines only between tokens, so indenting each line
+        # is the text at this level
+        yield json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * level)
 
 
 def _column(items, level: int) -> list[str]:
@@ -188,14 +123,12 @@ def _column(items, level: int) -> list[str]:
     kinds = set(map(type, items))
     if kinds == {int}:
         return list(map(int.__repr__, items))
-    if kinds == {str}:
-        return list(map(encode_basestring_ascii, items))
     if kinds == {list} and set(map(type, chain.from_iterable(items))) == {int}:
         # words and pairs: one join per list, and no str per int outlives it
         inner = "\n" + "  " * (level + 1)
         head, sep, tail = "[" + inner, "," + inner, "\n" + "  " * level + "]"
         return [head + sep.join(map(int.__repr__, item)) + tail if item else "[]" for item in items]
-    return [_value(item, level) for item in items]
+    return ["".join(_pieces(item, level)) for item in items]
 
 
 def _records(table: Table, level: int) -> list[str]:
@@ -211,17 +144,15 @@ def _records(table: Table, level: int) -> list[str]:
             fields.append("%d")
             texts.append(values)
         else:
+            # one text per distinct object, such as a word shared by many edges
             fields.append("%s")
-            if len(set(map(id, values))) == len(values):
-                texts.append(_column(values, level + 1))
-            else:  # one text per distinct object, such as a word shared by many edges
-                distinct = dict(zip(map(id, values), values))
-                encoded = dict(zip(distinct, _column(list(distinct.values()), level + 1)))
-                texts.append(list(map(encoded.__getitem__, map(id, values))))
+            distinct = dict(zip(map(id, values), values))
+            encoded = dict(zip(distinct, _column(list(distinct.values()), level + 1)))
+            texts.append(list(map(encoded.__getitem__, map(id, values))))
     opening, closing = "[]"
     if keys is not None:
         opening, closing = "{}"
-        fields = [_key(k).replace("%", "%%") + ": " + f for k, f in zip(keys, fields)]
+        fields = [encode_basestring_ascii(k).replace("%", "%%") + ": " + f for k, f in zip(keys, fields)]
     inner = "\n" + "  " * (level + 1)
     template = opening + inner + ("," + inner).join(fields) + "\n" + "  " * level + closing
     return list(map(template.__mod__, zip(*texts)))
