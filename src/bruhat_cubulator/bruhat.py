@@ -3,7 +3,9 @@
 The interval [1, y] is built on root ids (see ``coxeter``): an element u
 is keyed by the tuple of root ids of u(alpha_1), ..., u(alpha_n), and
 left-multiplying by a generator is n lookups in the system's action
-table.  Element objects are made only for the vertices.
+table.  A vertex is an id, and no Element is made for it: its canonical
+word is read along the ``letter`` and ``below`` arrays, and ``vertices``,
+the list of vertex Elements, is a view built on first read.
 
 - Vertices: by the subword property, reading a reduced word of y right to
   left and setting S <- S u s*S each time yields [1, y]; a key not yet in
@@ -39,15 +41,17 @@ class BruhatInterval:
 
     Vertices carry dense ids assigned in (length, canonical word) order, so
     id 0 is the identity and the last id is y; ``key_ids`` maps each key to
-    its id, and the ids of length l run from ``starts[l]`` to
-    ``starts[l + 1] - 1``.  Per id u: ``lengths[u]``;
+    its id and holds the keys in id order, and the ids of length l run
+    from ``starts[l]`` to ``starts[l + 1] - 1``.  Per id u: ``lengths[u]``;
     ``letter[u]``, the smallest left descent s of u (the first letter of its
-    canonical word), and ``below[u]``, the id of s*u (-1 at the identity);
+    canonical word), and ``below[u]``, the id of s*u (-1 at the identity),
+    so that u's word is letter[u], letter[below[u]], ... down to id 0;
     and ``action[s][u]``, the id of s*u, or -1 when s*u is outside [1, y].
-    The edges are ``deletions``, v's from ``offsets[v]`` on, and
-    ``labels``; they, ``below_masks`` and ``action`` are built on first
-    read, and ``covers(v)`` reads the Hasse edges into v off them.  The
-    list ``bruhat_edges``, of triples (u_id, v_id, t) with t the reflection
+    No Element is kept per id; ``vertices`` makes them on first read.  The
+    edges are ``deletions``, v's from ``offsets[v]`` on, and ``labels``;
+    they, ``below_masks`` and ``action`` are built on first read, and
+    ``covers(v)`` reads the Hasse edges into v off them.  The list
+    ``bruhat_edges``, of triples (u_id, v_id, t) with t the reflection
     u^-1 v, is a view made from them on first read.
     """
 
@@ -56,19 +60,26 @@ class BruhatInterval:
             raise ValueError("top element from a different system")
         self.system = system
         self.top = top
-        self.vertices, self.key_ids, self.letter, self.below, self.starts = (
-            system._sorted_elements(subword_closure(system, top.iword))
+        self.key_ids, self.letter, self.below, self.starts = system._sorted_keys(
+            subword_closure(system, top.iword)
         )
-        self.lengths = [el.length for el in self.vertices]
+        starts = self.starts
+        self.lengths = [l for l in range(len(starts) - 1) for _ in range(starts[l], starts[l + 1])]
         # v's deletions are deletions[offsets[v]:offsets[v + 1]], l(v) of them
         self.offsets = array("i", accumulate(self.lengths, initial=0))
 
     # -- derived structure, built on first read ------------------------------
 
     @cached_property
+    def vertices(self) -> list[Element]:
+        """The vertex Elements in id order, a view for the verifier, the
+        suites and readers outside the package; no other path reads it."""
+        return self.system._elements_from(self.key_ids, self.letter, self.below)
+
+    @cached_property
     def action(self) -> list[list[int]]:
-        left, ids, keys = self.system._left, self.key_ids, [el.key for el in self.vertices]
-        return [[ids.get(left(s, k), -1) for k in keys] for s in range(self.system.rank)]
+        left, ids = self.system._left, self.key_ids
+        return [[ids.get(left(s, k), -1) for k in ids] for s in range(self.system.rank)]
 
     @cached_property
     def deletions(self) -> array:
@@ -82,7 +93,7 @@ class BruhatInterval:
         """
         action, letter, below, offsets = self.action, self.letter, self.below, self.offsets
         out = array("i")
-        for v in range(1, len(self.vertices)):
+        for v in range(1, len(self)):
             b = below[v]
             out.append(b)
             out.extend(map(action[letter[v]].__getitem__, out[offsets[b] : offsets[b + 1]]))
@@ -101,21 +112,28 @@ class BruhatInterval:
 
         Deleting letter i + 1 of v's word removes the label of x =
         below^i(v).  With w = s*x it is w^-1 s w, whose root w^-1(alpha_s)
-        is w's letters applied to alpha_s, first letter first.
+        is w's letters applied to alpha_s, first letter first: read along
+        the ``below`` chain from w.  A word is made only for a new root.
         """
-        sys, letter, below, vertices = self.system, self.letter, self.below, self.vertices
+        sys, letter, below = self.system, self.letter, self.below
         act_id = sys._act_id
         by_root, reflections = {}, []
         label = array("i", [-1])
-        for x in range(1, len(vertices)):
-            s, word = letter[x], vertices[below[x]].iword
-            r = s
-            for a in word:
-                r = act_id(a, r)
+        for x in range(1, len(self)):
+            r = s = letter[x]
+            w = below[x]
+            while w:
+                r = act_id(letter[w], r)
+                w = below[w]
             t = by_root.get(r)
             if t is None:
                 t = by_root[r] = len(reflections)
-                reflections.append(sys._from_word(word[::-1] + (s,) + word))
+                word = []
+                w = below[x]
+                while w:
+                    word.append(letter[w])
+                    w = below[w]
+                reflections.append(sys._from_word((*word[::-1], s, *word)))
             label.append(t)
         return reflections, label
 
@@ -127,7 +145,7 @@ class BruhatInterval:
         the targets of one source do too.
         """
         deletions, offsets, below, label = self.deletions, self.offsets, self.below, self.labels[1]
-        ids = range(len(self.vertices))
+        ids = range(len(self))
         degree = list(map(Counter(deletions).__getitem__, ids))
         sources = array("i", chain.from_iterable(map(repeat, ids, degree)))
         place = list(accumulate(degree, initial=0))
@@ -151,7 +169,7 @@ class BruhatInterval:
         return list(zip(sources, targets, map(self.labels[0].__getitem__, labels)))
 
     def __len__(self):
-        return len(self.vertices)
+        return len(self.lengths)
 
     def __contains__(self, el: Element) -> bool:
         # two systems built alike share keys, so the system is checked too
@@ -162,7 +180,7 @@ class BruhatInterval:
         """For each vertex v, the bitset of ids x with x <= v."""
         masks = []
         # v covers only smaller ids, so one ascending pass suffices
-        for v in range(len(self.vertices)):
+        for v in range(len(self)):
             masks.append(reduce(or_, map(masks.__getitem__, self.covers(v)), 1 << v))
         return masks
 

@@ -51,19 +51,17 @@ def path_forest_cubulation(system: CoxeterSystem) -> ConstructionResult:
     forest iff prod (l(x_k) + 1) = |[1, w0]|.  Types A and B qualify.
     """
     w0 = system.longest_element()
-    paths = [x.word for x in system.parabolic_factorize(w0)]
+    paths = [x.iword for x in system.parabolic_factorize(w0)]
     iv = interval(w0)
-    if prod(len(p) + 1 for p in paths) != len(iv.vertices):
+    if prod(len(p) + 1 for p in paths) != len(iv):
         raise ValueError("normal form forest is not a path forest")
     params = tuple(len(p) for p in paths)
     lattice = CubicalLattice(params)
+    ids, key = iv.key_ids, system._key
     assignment = {}
     for coords in product(*(range(k + 1) for k in params)):
-        word = []
-        for j, m in enumerate(coords):
-            word.extend(paths[j][:m])
-        el = system.element(word)
-        assignment[coords] = iv.key_ids[el.key]
+        word = sum((paths[j][:m] for j, m in enumerate(coords)), ())
+        assignment[coords] = ids[key(word)]
     tag = "nff-A" if all(k == j + 1 for j, k in enumerate(params)) else "nff-B"
     return _certify(iv, lattice, assignment, tag)
 
@@ -73,18 +71,18 @@ def path_forest_cubulation(system: CoxeterSystem) -> ConstructionResult:
 
 def standard_parabolic_coxeter_cubulation(y: Element) -> ConstructionResult:
     """Boolean cubulation for elements using each generator at most once."""
-    word = y.word
-    if len(set(word)) != len(word):
+    iword = y.iword
+    if len(set(iword)) != len(iword):
         raise ValueError("element must use each generator at most once")
-    k = len(word)
+    k = len(iword)
     iv = interval(y)
     if k == 0:
         return _certify(iv, CubicalLattice((0,)), {(0,): 0}, "boolean")
     lattice = CubicalLattice((1,) * k)
+    ids, key = iv.key_ids, y.system._key
     assignment = {}
     for bits in product((0, 1), repeat=k):
-        sub = tuple(a for a, b in zip(word, bits) if b)
-        assignment[bits] = iv.key_ids[y.system.element(sub).key]
+        assignment[bits] = ids[key(tuple(s for s, b in zip(iword, bits) if b))]
     return _certify(iv, lattice, assignment, "boolean")
 
 
@@ -96,8 +94,9 @@ def dihedral_cubulation(y: Element) -> ConstructionResult:
     k = y.length
     if k < 2:
         raise ValueError("need l(y) >= 2; shorter elements are boolean")
-    a = y.word[0]
-    b = next(l for l in sys.labels if l != a)
+    # index words: the generators of a rank-2 system are 0 and 1
+    a = y.iword[0]
+    b = 1 - a
 
     def alternating(start, length):
         other = a if start == b else b
@@ -105,10 +104,11 @@ def dihedral_cubulation(y: Element) -> ConstructionResult:
 
     iv = interval(y)
     lattice = CubicalLattice((1, k - 1))
+    ids, key = iv.key_ids, sys._key
     assignment = {}
     for j in range(k):
-        assignment[(0, j)] = iv.key_ids[sys.element(alternating(b, j)).key]
-        assignment[(1, j)] = iv.key_ids[sys.element((a,) + alternating(b, j)).key]
+        assignment[(0, j)] = ids[key(alternating(b, j))]
+        assignment[(1, j)] = ids[key((a,) + alternating(b, j))]
     return _certify(iv, lattice, assignment, "dihedral")
 
 
@@ -146,37 +146,38 @@ def atilde2_cubulation(system: CoxeterSystem, m: int) -> ConstructionResult:
     _check_atilde2(system, "the atilde2 construction")
     if m < 1:
         raise ValueError("m must be at least 1; m = 0 is dihedral")
-    # built first, so that every product below is a vertex already made and
-    # is looked up by its key, with no canonical word to compute
+    # elements are keys: u*s is ``_right(u, s)`` and s*u is ``_left(s, u)``,
+    # and each vertex's id is looked up by its key; the labels 0, 1, 2 are
+    # the generators' indices
     iv = interval(y_m(system, m))
-    g = {i: system.generator(i) for i in (0, 1, 2)}
+    key, right, left = system._key, system._right, system._left
     level0 = {
-        (0, 0): system.identity,
-        (0, 1): g[2],
-        (0, 2): g[2] * g[0],
-        (1, 0): g[0],
-        (1, 1): g[0] * g[2],
-        (1, 2): g[2] * g[0] * g[2],
+        (0, 0): key(()),
+        (0, 1): key((2,)),
+        (0, 2): key((2, 0)),
+        (1, 0): key((0,)),
+        (1, 1): key((0, 2)),
+        (1, 2): key((2, 0, 2)),
     }
     for t in range(1, m):
-        s_t = g[t % 3]
-        s_prev = g[(t - 1) % 3]
+        s_t = t % 3
+        s_prev = (t - 1) % 3
         new = dict(level0)
         for k2 in range(t + 1):
-            new[(k2, t + 2)] = level0[(k2, t + 1)] * s_t
+            new[(k2, t + 2)] = right(level0[(k2, t + 1)], s_t)
         for k3 in range(t + 1):
-            new[(t + 1, k3)] = level0[(t, k3)] * s_t
-        new[(t + 1, t + 1)] = new[(t + 1, t)] * s_prev
-        new[(t + 1, t + 2)] = new[(t + 1, t + 1)] * s_t
+            new[(t + 1, k3)] = right(level0[(t, k3)], s_t)
+        new[(t + 1, t + 1)] = right(new[(t + 1, t)], s_prev)
+        new[(t + 1, t + 2)] = right(new[(t + 1, t + 1)], s_t)
         level0 = new
     lattice = CubicalLattice((2, m, m + 1))
+    ids = iv.key_ids
     assignment = {}
-    for (k2, k3), el in level0.items():
-        lvl1 = g[1] * el
-        lvl2 = g[2] * lvl1
-        assignment[(0, k2, k3)] = iv.key_ids[el.key]
-        assignment[(1, k2, k3)] = iv.key_ids[lvl1.key]
-        assignment[(2, k2, k3)] = iv.key_ids[lvl2.key]
+    for (k2, k3), u in level0.items():
+        lvl1 = left(1, u)
+        assignment[(0, k2, k3)] = ids[u]
+        assignment[(1, k2, k3)] = ids[lvl1]
+        assignment[(2, k2, k3)] = ids[left(2, lvl1)]
     return _certify(iv, lattice, assignment, "atilde2")
 
 

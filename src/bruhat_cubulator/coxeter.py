@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from math import lcm
 
 from .rings import CosRing, scalar_sign
@@ -357,8 +358,8 @@ class CoxeterSystem:
             el = self._element(key, self._canonical(self._key(iword[::-1])))
         return el
 
-    def _sorted_elements(self, levels):
-        """Elements for keys grouped by length, in (length, canonical word) order.
+    def _sorted_keys(self, levels):
+        """Keys grouped by length, in (length, canonical word) order.
 
         ``levels[l]`` holds keys of length l, and for every key u in it and
         every left descent s of u, s*u must lie in ``levels[l - 1]``, as in a
@@ -366,16 +367,15 @@ class CoxeterSystem:
         word(s*u) for the smallest such s, the first s that finds s*u one
         length down; within one length the words order as (s, id of s*u).
 
-        Returns (elements, ids, letter, below, starts): the elements in id
-        order, the id of each key, the smallest left descent s of each id
-        and the id of s*u (-1 at the identity), and the first id of each
-        length.
+        Returns (ids, letter, below, starts): the id of each key, inserted
+        in id order, the smallest left descent s of each id and the id of
+        s*u (-1 at the identity), as int arrays, and the first id of each
+        length.  No Element is made.
         """
         left = self._left
         ids = {self._identity_key: 0}
-        keys = [self._identity_key]
-        letter = [-1]
-        below = [-1]
+        letter = array("i", [-1])
+        below = array("i", [-1])
         starts = [0, 1]
         for level in levels[1:]:
             ordered = []
@@ -387,16 +387,19 @@ class CoxeterSystem:
                         break
             ordered.sort()
             for s, v, key in ordered:
-                ids[key] = len(keys)
-                keys.append(key)
+                ids[key] = len(ids)
                 letter.append(s)
                 below.append(v)
-            starts.append(len(keys))
+            starts.append(len(ids))
+        return ids, letter, below, starts
+
+    def _elements_from(self, keys, letter, below) -> list:
+        """The Elements of keys in id order, as ``_sorted_keys`` numbers them:
+        the word of id v is letter[v] followed by the word of below[v]."""
         words = [()]
-        for v in range(1, len(keys)):
+        for v in range(1, len(letter)):
             words.append((letter[v],) + words[below[v]])
-        elements = [self._element(key, word) for key, word in zip(keys, words)]
-        return elements, ids, letter, below, starts
+        return list(map(self._element, keys, words))
 
     # -- public element API -------------------------------------------------
 
@@ -471,17 +474,20 @@ class CoxeterSystem:
         """Factor w = x_1 ... x_n with x_k a minimal coset representative.
 
         x_k lies in the parabolic subgroup on the first k generators and has
-        no left descent among the first k-1; concatenating the canonical
-        words of the factors yields the canonical word of w.  Each x_k is
-        what is left of the current prefix after stripping its left
-        descents among the first k-1 generators.
+        no left descent among the first k-1.  Each x_k is what is left of
+        the current prefix after stripping its left descents among the first
+        k-1 generators.  Those are the prefix's smallest left descents, so
+        the stripped letters begin its canonical word, and x_k's canonical
+        word is the rest: each factor is a slice of w's word, and none is
+        canonicalized again.
         """
         factors = [None] * self.rank
-        key = self._key(w.iword[::-1])
+        iword = w.iword
         for k in range(self.rank - 1, -1, -1):
-            prefix, key = self._strip(key, k)
-            factors[k] = self._from_word(self._canonical(key))
-            key = self._key(prefix[::-1])
+            prefix = self._strip(self._key(iword[::-1]), k)[0]
+            rest = iword[len(prefix) :]
+            factors[k] = self._element(self._key(rest), rest)
+            iword = prefix
         return tuple(factors)
 
     def longest_element(self) -> "Element":
@@ -615,7 +621,8 @@ class CoxeterSystem:
 
     def ball_layers(self, radius: int) -> list:
         """Elements grouped by length, for lengths 0..radius."""
-        elements, _, _, _, starts = self._sorted_elements(self._ball_levels(radius))
+        ids, letter, below, starts = self._sorted_keys(self._ball_levels(radius))
+        elements = self._elements_from(ids, letter, below)
         layers = [elements[a:b] for a, b in zip(starts, starts[1:])]
         layers += [[] for _ in range(radius + 1 - len(layers))]
         return layers

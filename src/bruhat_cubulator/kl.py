@@ -221,7 +221,7 @@ def kl_polynomial(x: Element, y: Element) -> IntPoly:
         return ZERO
     table = kl_table(y)
     x_id = table.interval.key_ids[x.key]
-    return table.P(x_id, len(table.interval.vertices) - 1)
+    return table.P(x_id, len(table.interval) - 1)
 
 
 def all_trivial(y: Element) -> bool:
@@ -265,7 +265,7 @@ def table_report(table: KLTable) -> CPReport:
     # u's out-degree: how often u is a one-letter deletion of a vertex's word
     out_degree = Counter(iv.deletions)
     cond_edges = all(out_degree[i] == y.length - l for i, l in enumerate(iv.lengths))
-    a_y = Fraction(sum(iv.lengths), len(iv.vertices))
+    a_y = Fraction(sum(iv.lengths), len(iv))
     cond_average = a_y == Fraction(y.length, 2)
     cond_palindromic = is_palindromic(poincare_polynomial(iv))
     flags = (cond_trivial, cond_edges, cond_average, cond_palindromic)

@@ -7,7 +7,9 @@ byte-identical output.  A document's long lists (vertices, edges, KL
 pairs, certificate entries) are each a ``Table``: parallel columns, with
 no dict per row.  Few distinct values fill the largest columns, so the
 interval document holds one list per distinct reflection label and the
-KL document one per distinct P or R coefficient tuple.
+KL document one per distinct P or R coefficient tuple.  The vertex words
+of the vertex tables and of a certificate's ``assignment`` are made one
+slice at a time, read along the interval's ``letter`` and ``below`` arrays.
 
 ``chunks(doc)`` yields the text of ``json.dumps(doc, sort_keys=True,
 indent=2) + "\n"``, a table standing for its rows, in pieces, and is the
@@ -19,7 +21,8 @@ a piece.  With an ``indent`` the standard library encodes in pure Python
 and lists every token before it joins them, so a slice is encoded one
 column at a time instead:
 - a list of ints in one C-speed ``map``;
-- a list of lists of ints (words, pairs) in one ``join`` per list;
+- a list of lists or tuples of ints (words, pairs, coordinates) in one
+  ``join`` per list;
 - a table one column at a time, the rows filled in through one ``%``
   template, and each distinct object of a non-int column encoded once.
 Any other value is the standard library's own text, or its own error.
@@ -55,8 +58,9 @@ class Table(Sequence):
 
     ``Table({"a": xs, "b": ys})`` reads as [{"a": xs[0], "b": ys[0]}, ...],
     for str keys; ``Table([xs, ys])`` reads as [[xs[0], ys[0]], ...].  The
-    columns, one or more of one length, are lists, ranges or int arrays; a
-    slice of a table is the table of the columns' slices.
+    columns, one or more of one length, are lists, ranges, int arrays or a
+    word column (``_Words``); a slice of a table is the table of the
+    columns' slices.
     """
 
     __slots__ = ("keys", "columns")
@@ -123,8 +127,9 @@ def _column(items, level: int) -> list[str]:
     kinds = set(map(type, items))
     if kinds == {int}:
         return list(map(int.__repr__, items))
-    if kinds == {list} and set(map(type, chain.from_iterable(items))) == {int}:
-        # words and pairs: one join per list, and no str per int outlives it
+    if kinds <= {list, tuple} and set(map(type, chain.from_iterable(items))) == {int}:
+        # words, pairs and coordinates: one join per sequence, and no str per
+        # int outlives it
         inner = "\n" + "  " * (level + 1)
         head, sep, tail = "[" + inner, "," + inner, "\n" + "  " * level + "]"
         return [head + sep.join(map(int.__repr__, item)) + tail if item else "[]" for item in items]
@@ -158,10 +163,37 @@ def _records(table: Table, level: int) -> list[str]:
     return list(map(template.__mod__, zip(*texts)))
 
 
+class _Words(Sequence):
+    """The label words of the vertex ids ``ids``, a column made a slice at a
+    time: the word of v is letter[v], then the word of below[v].  It holds
+    the interval's ``letter`` and ``below`` arrays and the system's labels,
+    not the interval, so the interval is freed before the text is made."""
+
+    __slots__ = ("ids", "letter", "below", "labels")
+
+    def __init__(self, iv: BruhatInterval, ids):
+        self.ids, self.letter, self.below, self.labels = ids, iv.letter, iv.below, iv.system.labels
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self._word, self.ids[i]))
+        return self._word(self.ids[i])
+
+    def _word(self, v: int) -> list:
+        letter, below, labels = self.letter, self.below, self.labels
+        word = []
+        while v:
+            word.append(labels[letter[v]])
+            v = below[v]
+        return word
+
+
 def _vertices(iv: BruhatInterval) -> Table:
-    return Table(
-        {"id": range(len(iv)), "word": [list(el.word) for el in iv.vertices], "length": iv.lengths}
-    )
+    ids = range(len(iv))
+    return Table({"id": ids, "word": _Words(iv, ids), "length": iv.lengths})
 
 
 def interval_doc(iv: BruhatInterval) -> dict:
@@ -186,8 +218,8 @@ def interval_doc(iv: BruhatInterval) -> dict:
 def interval_dot(iv: BruhatInterval) -> Iterator[str]:
     """Bruhat graph in DOT, with vertices rank-aligned by length, line by line."""
     yield "digraph bruhat {\n  rankdir=BT;\n"
-    for i, el in enumerate(iv.vertices):
-        label = "e" if not el.word else "".join(f"s{a}" for a in el.word)
+    for i, word in enumerate(_Words(iv, range(len(iv)))):
+        label = "".join(f"s{a}" for a in word) or "e"
         yield f'  v{i} [label="{label}"];\n'
     starts = iv.starts
     for a, b in zip(starts, starts[1:]):
@@ -232,16 +264,11 @@ def kl_doc(table: KLTable) -> dict:
 
 
 def certificate_doc(iv: BruhatInterval, cert) -> dict:
-    coords, ids = zip(*sorted(cert.assignment.items()))
+    coords = sorted(cert.assignment)
+    ids = array("i", map(cert.assignment.__getitem__, coords))
     return {
         "lattice": list(cert.lattice.params),
-        "assignment": Table(
-            {
-                "coords": list(map(list, coords)),
-                "id": list(ids),
-                "word": [list(iv.vertices[i].word) for i in ids],
-            }
-        ),
+        "assignment": Table({"coords": coords, "id": ids, "word": _Words(iv, ids)}),
     }
 
 

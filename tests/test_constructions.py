@@ -4,6 +4,7 @@ import pytest
 
 from bruhat_cubulator import constructions as cx
 from bruhat_cubulator.bruhat import interval
+from bruhat_cubulator.coxeter import CoxeterSystem, build_system
 from bruhat_cubulator.kl import all_trivial
 from bruhat_cubulator.search import cubulate, verify_certificate
 
@@ -32,6 +33,32 @@ class TestNormalFormForest:
         assert nodes_if_paths < len(interval(w0).vertices) == 192
         with pytest.raises(ValueError, match="not a path forest"):
             cx.path_forest_cubulation(d4)
+
+
+@pytest.mark.parametrize(
+    "tag,top,construct",
+    [
+        ("Atilde2", lambda s: cx.y_m(s, 6), lambda s: cx.atilde2_cubulation(s, 6)),
+        ("B4", CoxeterSystem.longest_element, cx.path_forest_cubulation),
+    ],
+    ids=["atilde2-6", "path-forest-B4"],
+)
+def test_constructions_canonicalize_no_word(monkeypatch, tag, top, construct):
+    """Past the top element, a construction finds each vertex's id by its
+    key (products of keys and generators, ``_key`` of a word): no word is
+    canonicalized, although the interval interns no vertex Element."""
+    sys = build_system(tag)
+    top(sys)
+    calls = []
+    canonical = CoxeterSystem._canonical
+
+    def counting(self, key):
+        calls.append(key)
+        return canonical(self, key)
+
+    monkeypatch.setattr(CoxeterSystem, "_canonical", counting)
+    assert construct(sys).tag in ("atilde2", "nff-B")
+    assert calls == []
 
 
 class TestPathForestCubulation:

@@ -162,6 +162,12 @@ GOLDEN = [
         0,
         "7766a9129ff430e2037790066723e963298648cde9243c8c49bbbb3c27eb1b9a",
     ),
+    (
+        # a certificate of 1,920 rows, each with its word
+        ("cubulate", "--system", "D5", "--element", "w0"),
+        0,
+        "e243ac2847b4cbbb372709629684d9f426a62660bb88498ff2ac881b05476f7c",
+    ),
 ]
 
 
@@ -189,6 +195,28 @@ def test_no_command_builds_an_edge_list_view(capsys, monkeypatch):
         ("construct", "--system", "B3", "--construction", "path-forest"),
         ("construct", "--system", "Atilde2", "--construction", "atilde2", "--m", "3"),
         ("suite", "smoke"),
+    ]
+    for argv in jobs:
+        code = main(list(argv))
+        out = capsys.readouterr()
+        digest = hashlib.sha256(out.out.encode("utf-8")).hexdigest()
+        assert (code, digest, out.err) == next((c, d, "") for a, c, d in GOLDEN if a == argv)
+
+
+def test_no_command_makes_a_vertex_element(capsys, monkeypatch):
+    """The interval, kl and cubulate commands read ids, keys and the letter
+    and below arrays: none reads the ``vertices`` view, which makes an
+    Element per vertex, and each still prints its GOLDEN bytes."""
+
+    def refuse(self):
+        raise AssertionError("the vertex Elements were made")
+
+    monkeypatch.setattr(BruhatInterval, "vertices", property(refuse))
+    jobs = [
+        ("interval", "--system", "D5", "--element", "w0"),
+        ("interval", "--system", "B3", "--element", "w0", "--format", "dot"),
+        ("kl", "--system", "A4", "--element", "w0"),
+        ("cubulate", "--system", "D5", "--element", "w0"),
     ]
     for argv in jobs:
         code = main(list(argv))

@@ -155,3 +155,30 @@ def test_edge_list_views_stay_in_bruhat():
         if isinstance(node, ast.Attribute) and node.attr in ("bruhat_edges", "hasse_edges")
     ]
     assert readers == []
+
+
+def test_vertex_elements_are_read_by_the_verifier_and_suites_only():
+    """The interval's ``vertices`` view makes an Element per vertex, so the
+    program reads ids, keys and the letter and below arrays instead: only
+    ``bruhat``, the independent verifier and the suites read the view.  A
+    ``CubicalLattice.vertices()`` call is not a read of it."""
+    package = sorted((_ROOT / "src" / "bruhat_cubulator").glob("*.py"))
+    readers = []
+    for p in package:
+        if p.name in ("bruhat.py", "suites.py"):
+            continue
+        tree = ast.parse(p.read_text())
+        exempt = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        if p.name == "search.py":
+            verifier = next(
+                node
+                for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "verify_certificate_detailed"
+            )
+            exempt |= set(map(id, ast.walk(verifier)))
+        readers += [
+            f"{p.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "vertices" and id(node) not in exempt
+        ]
+    assert readers == []

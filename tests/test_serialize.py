@@ -435,19 +435,31 @@ class TestEncoderOracle:
         # a list inside a slice is part of that slice's text
         assert list(serialize.chunks([[1], None])) == ["[\n  [\n    1\n  ],\n  null", "\n]", "\n"]
 
-    def test_d5_interval_document_is_built_and_encoded_in_little_memory(self):
-        # the edges go from the interval's arrays to the text as columns, with
-        # no tuple, pair or dict per edge; a fresh system, so that the
-        # interval's elements are made under the trace too
+    @staticmethod
+    def _built_and_encoded_peak(make_doc) -> int:
+        """The ``tracemalloc`` peak of building D5 w0's interval, then its
+        document, and encoding it; a fresh system, so that any element the
+        job makes is made under the trace too."""
         w0 = build_system("D5").longest_element()
         tracemalloc.start()
         try:
-            for _ in serialize.chunks(serialize.interval_doc(interval(w0))):
+            for _ in serialize.chunks(make_doc(interval(w0))):
                 pass
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_d5_interval_document_is_built_and_encoded_in_little_memory(self):
+        # the edges go from the interval's arrays to the text as columns, with
+        # no tuple, pair or dict per edge
+        peak = self._built_and_encoded_peak(serialize.interval_doc)
         assert peak < 3e6, peak
+
+    def test_d5_cubulate_document_is_built_and_encoded_in_little_memory(self):
+        # the cubulate job: the search and the certificate's words read ids
+        # and the letter and below arrays, with no Element per vertex
+        peak = self._built_and_encoded_peak(lambda iv: serialize.outcome_doc(iv, search(iv)))
+        assert peak < 2.1e6, peak
 
     @pytest.mark.parametrize(
         "make_doc,streamed_max,whole_min",
