@@ -3,9 +3,11 @@
 The interval [1, y] is built on root ids (see ``coxeter``): an element u
 is keyed by the tuple of root ids of u(alpha_1), ..., u(alpha_n), and
 left-multiplying by a generator is n lookups in the system's action
-table.  A vertex is an id, and no Element is made for it: its canonical
-word is read along the ``letter`` and ``below`` arrays, and ``vertices``,
-the list of vertex Elements, is a view built on first read.
+table.  The keys stay in the build, which turns them into the interval's
+own action table on ids.  A vertex is an id, found from an index word
+through that table (``id_of``); its canonical word is read along the
+``letter`` and ``below`` arrays, and ``vertices``, the list of vertex
+Elements, is a view built on first read.
 
 - Vertices: by the subword property, reading a reduced word of y right to
   left and setting S <- S u s*S each time yields [1, y]; a key not yet in
@@ -40,29 +42,31 @@ class BruhatInterval:
     """The interval [1, y] with its Hasse diagram and Bruhat graph.
 
     Vertices carry dense ids assigned in (length, canonical word) order, so
-    id 0 is the identity and the last id is y; ``key_ids`` maps each key to
-    its id and holds the keys in id order, and the ids of length l run
+    id 0 is the identity and the last id is y, and the ids of length l run
     from ``starts[l]`` to ``starts[l + 1] - 1``.  Per id u: ``lengths[u]``;
     ``letter[u]``, the smallest left descent s of u (the first letter of its
     canonical word), and ``below[u]``, the id of s*u (-1 at the identity),
     so that u's word is letter[u], letter[below[u]], ... down to id 0;
-    and ``action[s][u]``, the id of s*u, or -1 when s*u is outside [1, y].
-    No Element is kept per id; ``vertices`` makes them on first read.  The
-    edges are ``deletions``, v's from ``offsets[v]`` on, and ``labels``;
-    they, ``below_masks`` and ``action`` are built on first read, and
-    ``covers(v)`` reads the Hasse edges into v off them.  The list
-    ``bruhat_edges``, of triples (u_id, v_id, t) with t the reflection
-    u^-1 v, is a view made from them on first read.
+    and ``action[s][u]``, the id of s*u, or -1 when s*u is outside [1, y],
+    one int array per generator, built with the ids.  ``id_of`` walks it
+    along a reduced index word; no key and no Element is kept per id, and
+    ``vertices`` makes the Elements on first read.  The edges are
+    ``deletions``, v's from ``offsets[v]`` on, and ``labels``; they and
+    ``below_masks`` are built on first read, and ``covers(v)`` reads the
+    Hasse edges into v off them.  The list ``bruhat_edges``, of triples
+    (u_id, v_id, t) with t the reflection u^-1 v, is a view made from them
+    on first read.
     """
 
     def __init__(self, system: CoxeterSystem, top: Element):
-        if top.system is not system:
-            raise ValueError("top element from a different system")
+        system._own(top)
         self.system = system
         self.top = top
-        self.key_ids, self.letter, self.below, self.starts = system._sorted_keys(
+        ids, self.letter, self.below, self.starts = system._sorted_keys(
             subword_closure(system, top.iword)
         )
+        left = system._left
+        self.action = [array("i", [ids.get(left(s, k), -1) for k in ids]) for s in range(system.rank)]
         starts = self.starts
         self.lengths = [l for l in range(len(starts) - 1) for _ in range(starts[l], starts[l + 1])]
         # v's deletions are deletions[offsets[v]:offsets[v + 1]], l(v) of them
@@ -74,12 +78,19 @@ class BruhatInterval:
     def vertices(self) -> list[Element]:
         """The vertex Elements in id order, a view for the verifier, the
         suites and readers outside the package; no other path reads it."""
-        return self.system._elements_from(self.key_ids, self.letter, self.below)
+        return self.system._elements_from(self.letter, self.below)
 
-    @cached_property
-    def action(self) -> list[list[int]]:
-        left, ids = self.system._left, self.key_ids
-        return [[ids.get(left(s, k), -1) for k in ids] for s in range(self.system.rank)]
+    def id_of(self, iword) -> int:
+        """The id of the element with reduced index word iword, or -1 if it
+        is not in [1, y]: a walk from id 0 along ``action``, right to left,
+        which stays in [1, y] since each suffix of a reduced word of u is <=
+        u.  Any other word gives the id of its product or -1."""
+        v = 0
+        for s in reversed(iword):
+            v = self.action[s][v]
+            if v < 0:
+                break
+        return v
 
     @cached_property
     def deletions(self) -> array:
@@ -172,8 +183,8 @@ class BruhatInterval:
         return len(self.lengths)
 
     def __contains__(self, el: Element) -> bool:
-        # two systems built alike share keys, so the system is checked too
-        return el.system is self.system and el.key in self.key_ids
+        # two systems built alike share words and keys, so the system is checked too
+        return el.system is self.system and self.id_of(el.iword) >= 0
 
     @cached_property
     def below_masks(self) -> list[int]:

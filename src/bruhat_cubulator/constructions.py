@@ -57,11 +57,10 @@ def path_forest_cubulation(system: CoxeterSystem) -> ConstructionResult:
         raise ValueError("normal form forest is not a path forest")
     params = tuple(len(p) for p in paths)
     lattice = CubicalLattice(params)
-    ids, key = iv.key_ids, system._key
     assignment = {}
     for coords in product(*(range(k + 1) for k in params)):
         word = sum((paths[j][:m] for j, m in enumerate(coords)), ())
-        assignment[coords] = ids[key(word)]
+        assignment[coords] = iv.id_of(word)
     tag = "nff-A" if all(k == j + 1 for j, k in enumerate(params)) else "nff-B"
     return _certify(iv, lattice, assignment, tag)
 
@@ -79,10 +78,9 @@ def standard_parabolic_coxeter_cubulation(y: Element) -> ConstructionResult:
     if k == 0:
         return _certify(iv, CubicalLattice((0,)), {(0,): 0}, "boolean")
     lattice = CubicalLattice((1,) * k)
-    ids, key = iv.key_ids, y.system._key
     assignment = {}
     for bits in product((0, 1), repeat=k):
-        assignment[bits] = ids[key(tuple(s for s, b in zip(iword, bits) if b))]
+        assignment[bits] = iv.id_of(tuple(s for s, b in zip(iword, bits) if b))
     return _certify(iv, lattice, assignment, "boolean")
 
 
@@ -104,11 +102,10 @@ def dihedral_cubulation(y: Element) -> ConstructionResult:
 
     iv = interval(y)
     lattice = CubicalLattice((1, k - 1))
-    ids, key = iv.key_ids, sys._key
     assignment = {}
     for j in range(k):
-        assignment[(0, j)] = ids[key(alternating(b, j))]
-        assignment[(1, j)] = ids[key((a,) + alternating(b, j))]
+        assignment[(0, j)] = iv.id_of(alternating(b, j))
+        assignment[(1, j)] = iv.id_of((a,) + alternating(b, j))
     return _certify(iv, lattice, assignment, "dihedral")
 
 
@@ -146,38 +143,27 @@ def atilde2_cubulation(system: CoxeterSystem, m: int) -> ConstructionResult:
     _check_atilde2(system, "the atilde2 construction")
     if m < 1:
         raise ValueError("m must be at least 1; m = 0 is dihedral")
-    # elements are keys: u*s is ``_right(u, s)`` and s*u is ``_left(s, u)``,
-    # and each vertex's id is looked up by its key; the labels 0, 1, 2 are
-    # the generators' indices
+    # elements are index words (the labels 0, 1, 2 are their own indices),
+    # u*s is ``word + (s,)``; the map preserves rank, so each word is reduced
     iv = interval(y_m(system, m))
-    key, right, left = system._key, system._right, system._left
-    level0 = {
-        (0, 0): key(()),
-        (0, 1): key((2,)),
-        (0, 2): key((2, 0)),
-        (1, 0): key((0,)),
-        (1, 1): key((0, 2)),
-        (1, 2): key((2, 0, 2)),
-    }
+    level0 = {(0, 0): (), (0, 1): (2,), (0, 2): (2, 0),
+              (1, 0): (0,), (1, 1): (0, 2), (1, 2): (2, 0, 2)}
     for t in range(1, m):
         s_t = t % 3
         s_prev = (t - 1) % 3
         new = dict(level0)
         for k2 in range(t + 1):
-            new[(k2, t + 2)] = right(level0[(k2, t + 1)], s_t)
+            new[(k2, t + 2)] = level0[(k2, t + 1)] + (s_t,)
         for k3 in range(t + 1):
-            new[(t + 1, k3)] = right(level0[(t, k3)], s_t)
-        new[(t + 1, t + 1)] = right(new[(t + 1, t)], s_prev)
-        new[(t + 1, t + 2)] = right(new[(t + 1, t + 1)], s_t)
+            new[(t + 1, k3)] = level0[(t, k3)] + (s_t,)
+        new[(t + 1, t + 1)] = new[(t + 1, t)] + (s_prev,)
+        new[(t + 1, t + 2)] = new[(t + 1, t + 1)] + (s_t,)
         level0 = new
     lattice = CubicalLattice((2, m, m + 1))
-    ids = iv.key_ids
     assignment = {}
-    for (k2, k3), u in level0.items():
-        lvl1 = left(1, u)
-        assignment[(0, k2, k3)] = ids[u]
-        assignment[(1, k2, k3)] = ids[lvl1]
-        assignment[(2, k2, k3)] = ids[left(2, lvl1)]
+    for (k2, k3), word in level0.items():
+        for k1, prefix in enumerate(((), (1,), (2, 1))):
+            assignment[(k1, k2, k3)] = iv.id_of(prefix + word)
     return _certify(iv, lattice, assignment, "atilde2")
 
 

@@ -367,10 +367,10 @@ class CoxeterSystem:
         word(s*u) for the smallest such s, the first s that finds s*u one
         length down; within one length the words order as (s, id of s*u).
 
-        Returns (ids, letter, below, starts): the id of each key, inserted
-        in id order, the smallest left descent s of each id and the id of
-        s*u (-1 at the identity), as int arrays, and the first id of each
-        length.  No Element is made.
+        Returns (ids, letter, below, starts): each key's id, in id order,
+        which an interval turns into its action table and drops; the
+        smallest left descent s of each id and the id of s*u (-1 at the
+        identity), as int arrays; and the first id of each length.
         """
         left = self._left
         ids = {self._identity_key: 0}
@@ -393,11 +393,12 @@ class CoxeterSystem:
             starts.append(len(ids))
         return ids, letter, below, starts
 
-    def _elements_from(self, keys, letter, below) -> list:
-        """The Elements of keys in id order, as ``_sorted_keys`` numbers them:
-        the word of id v is letter[v] followed by the word of below[v]."""
-        words = [()]
+    def _elements_from(self, letter, below) -> list:
+        """The Elements in id order, as ``_sorted_keys`` numbers them: id v has
+        letter[v] then below[v]'s word, and letter[v] applied to its key."""
+        keys, words = [self._identity_key], [()]
         for v in range(1, len(letter)):
+            keys.append(self._left(letter[v], keys[below[v]]))
             words.append((letter[v],) + words[below[v]])
         return list(map(self._element, keys, words))
 
@@ -423,15 +424,22 @@ class CoxeterSystem:
             iword.append(self._idx[a])
         return self._from_word(tuple(iword))
 
+    def _own(self, *elements):
+        """Refuse an Element of another system, whose key means another element here."""
+        if any(el.system is not self for el in elements):
+            raise ValueError("elements from a different system")
+
     def _descents(self, key) -> frozenset:
         """Labels s with u(alpha_s) < 0, for u the element with this key."""
         sign = self._root_sign
         return frozenset(self.labels[s] for s, r in enumerate(key) if sign[r] < 0)
 
     def right_descents(self, w: "Element") -> frozenset:
+        self._own(w)
         return self._descents(w.key)
 
     def left_descents(self, w: "Element") -> frozenset:
+        self._own(w)
         return self._descents(self._key(w.iword[::-1]))
 
     def is_reflection(self, w: "Element") -> bool:
@@ -457,6 +465,7 @@ class CoxeterSystem:
         The scalars lie in a domain, so a column c is a multiple of the first,
         f, iff c[i] f[j0] = f[i] c[j0] for all i, at one j0 with f[j0] != 0.
         """
+        self._own(u, v)
         if (u.length + v.length) % 2 == 0:
             return False
         roots, zero = self._roots, self._zero
@@ -468,6 +477,7 @@ class CoxeterSystem:
         return all(c[i] * f0 == a * c[j0] for c in rest for i, a in enumerate(first))
 
     def support(self, w: "Element") -> frozenset:
+        self._own(w)
         return frozenset(self.labels[s] for s in set(w.iword))
 
     def parabolic_factorize(self, w: "Element") -> tuple:
@@ -481,6 +491,7 @@ class CoxeterSystem:
         word is the rest: each factor is a slice of w's word, and none is
         canonicalized again.
         """
+        self._own(w)
         factors = [None] * self.rank
         iword = w.iword
         for k in range(self.rank - 1, -1, -1):
@@ -510,6 +521,7 @@ class CoxeterSystem:
 
     def diagram_automorphism(self, permutation, w: "Element") -> "Element":
         """Apply a Coxeter-matrix-preserving relabeling to an element."""
+        self._own(w)
         perm = dict(permutation)
         if sorted(perm) != list(self.labels) or sorted(perm.values()) != list(self.labels):
             raise ValueError("permutation must be a bijection on generator labels")
@@ -555,8 +567,7 @@ class CoxeterSystem:
         descent of x, else iff x <= ys.  Only x's key moves, by one right
         multiplication per descent of x; other letters cost a sign lookup.
         """
-        if x.system is not self or y.system is not self:
-            raise ValueError("elements from a different system")
+        self._own(x, y)
         sign = self._root_sign
         key, lx, ly = x.key, x.length, y.length
         for s in reversed(y.iword):
@@ -621,8 +632,8 @@ class CoxeterSystem:
 
     def ball_layers(self, radius: int) -> list:
         """Elements grouped by length, for lengths 0..radius."""
-        ids, letter, below, starts = self._sorted_keys(self._ball_levels(radius))
-        elements = self._elements_from(ids, letter, below)
+        _, letter, below, starts = self._sorted_keys(self._ball_levels(radius))
+        elements = self._elements_from(letter, below)
         layers = [elements[a:b] for a, b in zip(starts, starts[1:])]
         layers += [[] for _ in range(radius + 1 - len(layers))]
         return layers
@@ -725,8 +736,7 @@ class Element:
     def __mul__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        if other.system is not self.system:
-            raise ValueError("elements from a different system")
+        self.system._own(other)
         return self.system._from_word(self.iword + other.iword)
 
     def __repr__(self):

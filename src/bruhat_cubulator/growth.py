@@ -136,8 +136,7 @@ def ball_in_interval_check(system: CoxeterSystem, k: int, y: Element) -> bool:
     Requires l(y) >= k * L with L = minimal_nonspherical_L(system); a
     violated precondition raises rather than silently returning.
     """
-    if y.system is not system:
-        raise ValueError("y belongs to a different system")
+    system._own(y)
     if k < 0:
         raise ValueError("k must be non-negative")
     L = minimal_nonspherical_L(system)

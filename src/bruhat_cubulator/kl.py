@@ -38,7 +38,7 @@ def r_polynomial(x: Element, y: Element) -> IntPoly:
     if not x.system.bruhat_leq(x, y):
         return ZERO
     iv = interval(y)
-    return KLTable(iv).R(iv.key_ids[x.key], len(iv) - 1)
+    return KLTable(iv).R(iv.id_of(x.iword), len(iv) - 1)
 
 
 class KLTable:
@@ -219,9 +219,8 @@ def kl_table(y: Element) -> KLTable:
 def kl_polynomial(x: Element, y: Element) -> IntPoly:
     if not x.system.bruhat_leq(x, y):
         return ZERO
-    table = kl_table(y)
-    x_id = table.interval.key_ids[x.key]
-    return table.P(x_id, len(table.interval) - 1)
+    iv = interval(y)
+    return KLTable(iv).P(iv.id_of(x.iword), len(iv) - 1)
 
 
 def all_trivial(y: Element) -> bool:

@@ -81,7 +81,7 @@ def _orbit_minima(iv: BruhatInterval) -> int:
     group = [s for s in sys.diagram_automorphisms() if sys.diagram_automorphism(s, y) is y]
     mask = 0
     for a in sys.support(y):
-        ids = [iv.key_ids[sys.generator(s[a]).key] for s in group]
+        ids = [iv.id_of(sys.generator(s[a]).iword) for s in group]
         if ids[0] == min(ids):  # group[0] is the identity
             mask |= 1 << (ids[0] - 1)
     return mask

@@ -296,16 +296,9 @@ def outcome_doc(iv: BruhatInterval, outcome) -> dict:
 
 
 def checkpoint_doc(checkpoint: dict) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "checkpoint",
-        "system": checkpoint["system"],
-        "top": list(checkpoint["top"]),
-        "search_rules": checkpoint["search_rules"],
-        "shape": list(checkpoint["shape"]),
-        "path": list(checkpoint["path"]),
-        "min_id": checkpoint["min_id"],
-    }
+    """The document of a checkpoint: its fields are ``search.bind``'s job plus
+    the path and min_id, and ``_CHECKPOINT_FIELDS`` are those the reader checks."""
+    return {"schema": SCHEMA, "kind": "checkpoint", **checkpoint}
 
 
 def checkpoint_from_doc(doc: dict) -> dict:

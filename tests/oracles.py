@@ -90,7 +90,8 @@ def naive_cubulate(y: Element) -> tuple[str, dict | None]:
             return False
 
         if extend(0):
-            return "Found", {v: iv.key_ids[el.key] for v, el in assignment.items()}
+            ids = {el.key: i for i, el in enumerate(iv.vertices)}
+            return "Found", {v: ids[el.key] for v, el in assignment.items()}
     return "Exhausted", None
 
 
@@ -183,6 +184,8 @@ class RSumKLTable:
 
     def __init__(self, iv: BruhatInterval):
         self.interval = iv
+        # ids by key, read off the vertices, so the oracle does not use ``action``
+        self._ids = {el.key: i for i, el in enumerate(iv.vertices)}
         self._p: dict[tuple[int, int], IntPoly] = {}
         self._r: dict[tuple[int, int], IntPoly] = {}
 
@@ -195,7 +198,7 @@ class RSumKLTable:
         key = (x_id, y_id)
         if key not in self._r:
             s, sy = iv.letter[y_id], iv.below[y_id]
-            sx = iv.key_ids[iv.system._left(s, iv.vertices[x_id].key)]
+            sx = self._ids[iv.system._left(s, iv.vertices[x_id].key)]
             if iv.lengths[sx] < iv.lengths[x_id]:
                 self._r[key] = self.R(sx, sy)
             else:

@@ -61,6 +61,7 @@ class TestEnumeration:
         y = case_element(tag, word)
         iv = interval(y)
         assert set(iv.vertices) == oracles.subword_interval(y)
+        assert [iv.id_of(el.iword) for el in iv.vertices] == list(range(len(iv)))
 
     def test_a3_spot_size(self, a3):
         iv = interval(a3.element((2, 1, 3, 2)))
@@ -126,7 +127,7 @@ class TestEdges:
         iv = interval(a2.longest_element())
 
         def out_degree(x):
-            return sum(u == iv.key_ids[x.key] for u, _, _ in iv.bruhat_edges)
+            return sum(u == iv.id_of(x.iword) for u, _, _ in iv.bruhat_edges)
 
         assert out_degree(a2.identity) == 3
         assert out_degree(a2.generator(1)) == 2
@@ -139,8 +140,9 @@ class TestEdges:
 
 
 class TestLazyEdges:
-    """The action table and the deletion recursion run only when an edge
-    list is read, and the labelled edges only when ``bruhat_edges`` is."""
+    """The deletion recursion and the edge labels run only when an edge
+    list is read, and the labelled edges only when ``bruhat_edges`` is; the
+    action table is built with the ids, and the constructions read it."""
 
     def test_level_sizes_and_constructions_build_no_edges(self, monkeypatch):
         def refuse(self):
@@ -148,8 +150,8 @@ class TestLazyEdges:
 
         atilde2, b3 = build_system("Atilde2"), build_system("B3")
         with monkeypatch.context() as patch:
-            patch.setattr(BruhatInterval, "action", property(refuse))
             patch.setattr(BruhatInterval, "deletions", property(refuse))
+            patch.setattr(BruhatInterval, "labels", property(refuse))
             assert len(cx.atilde2_trivial_enumeration(atilde2, 8)) > 0
             assert len(cx.atilde2_cubulation(atilde2, 4).interval) == 90
             assert all_trivial(b3.longest_element())
@@ -183,6 +185,8 @@ class TestMasks:
         iv = interval(a3.element((1, 2)))
         assert a3.generator(1) in iv
         assert a3.generator(3) not in iv
+        # both generators are in [1, s1 s2], but s2 s1 is not
+        assert a3.element((2, 1)) not in iv
         assert len(iv) == 4
         # a separately built A3 has the same keys, but its elements are not in iv
         assert build_system("A3").generator(1) not in interval(build_system("A3").longest_element())

@@ -44,9 +44,9 @@ class TestNormalFormForest:
     ids=["atilde2-6", "path-forest-B4"],
 )
 def test_constructions_canonicalize_no_word(monkeypatch, tag, top, construct):
-    """Past the top element, a construction finds each vertex's id by its
-    key (products of keys and generators, ``_key`` of a word): no word is
-    canonicalized, although the interval interns no vertex Element."""
+    """Past the top element, a construction finds each vertex's id by
+    ``id_of`` on an index word: no word is canonicalized, although the
+    interval interns no vertex Element."""
     sys = build_system(tag)
     top(sys)
     calls = []

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruhat_cubulator.bruhat import interval
+from bruhat_cubulator.bruhat import BruhatInterval, interval
 from bruhat_cubulator.constructions import y_m
 from bruhat_cubulator.coxeter import build_system
+from bruhat_cubulator.growth import ball_in_interval_check
 
 import oracles
 from conftest import system
@@ -367,7 +368,30 @@ class TestBruhatOrder:
         assert a2.ball_layer_counts(5) == [1, 2, 2, 1, 0, 0]
 
 
+# each call that takes an A3 Element, given an element of B3 instead
+_FOREIGN_CALLS = {
+    "support": lambda a3, w: a3.support(w),
+    "left_descents": lambda a3, w: a3.left_descents(w),
+    "right_descents": lambda a3, w: a3.right_descents(w),
+    "diagram_automorphism": lambda a3, w: a3.diagram_automorphism({1: 3, 2: 2, 3: 1}, w),
+    "parabolic_factorize": lambda a3, w: a3.parabolic_factorize(w),
+    "differ_by_reflection": lambda a3, w: a3.differ_by_reflection(a3.identity, w),
+    "is_reflection": lambda a3, w: a3.is_reflection(w),
+    "bruhat_leq": lambda a3, w: a3.bruhat_leq(a3.identity, w),
+    "mul": lambda a3, w: a3.identity * w,
+    "interval": lambda a3, w: BruhatInterval(a3, w),
+    "ball_in_interval_check": lambda a3, w: ball_in_interval_check(a3, 0, w),
+}
+
+
 class TestElement:
+    @pytest.mark.parametrize("method", sorted(_FOREIGN_CALLS))
+    def test_refuses_an_element_of_another_system(self, method):
+        # B3's s3 s2 s1 spells an A3 word, but its key means another element
+        w = system("B3").element((3, 2, 1))
+        with pytest.raises(ValueError, match="different system"):
+            _FOREIGN_CALLS[method](system("A3"), w)
+
     def test_identities(self, a3):
         e = a3.identity
         s = a3.generator(1)

@@ -157,9 +157,25 @@ def test_edge_list_views_stay_in_bruhat():
     assert readers == []
 
 
+def test_key_arithmetic_stays_in_coxeter_and_bruhat():
+    """Keys are ``coxeter``'s: an interval's build turns them into ids and its
+    action table, and every other module finds an id with ``id_of``.  No
+    other module reads a key, the key dict or a key operation."""
+    names = ("key_ids", "key", "_key", "_right", "_left", "_act_id", "_identity_key")
+    package = sorted((_ROOT / "src" / "bruhat_cubulator").glob("*.py"))
+    readers = [
+        f"{p.name}:{node.lineno}: {node.attr}"
+        for p in package
+        if p.name not in ("coxeter.py", "bruhat.py")
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in names
+    ]
+    assert readers == []
+
+
 def test_vertex_elements_are_read_by_the_verifier_and_suites_only():
     """The interval's ``vertices`` view makes an Element per vertex, so the
-    program reads ids, keys and the letter and below arrays instead: only
+    program reads ids and the letter, below and action arrays instead: only
     ``bruhat``, the independent verifier and the suites read the view.  A
     ``CubicalLattice.vertices()`` call is not a read of it."""
     package = sorted((_ROOT / "src" / "bruhat_cubulator").glob("*.py"))

@@ -150,7 +150,7 @@ class TestKLPolynomials:
                 sub = kl_table(iv.vertices[y_id])
                 for x_id in range(y_id + 1):
                     if iv.leq_ids(x_id, y_id):
-                        x_sub = sub.interval.key_ids[iv.vertices[x_id].key]
+                        x_sub = sub.interval.id_of(iv.vertices[x_id].iword)
                         assert table.P(x_id, y_id) == sub.P(x_sub, len(sub.interval) - 1)
 
 

@@ -146,7 +146,7 @@ class TestSearch:
         d4 = system("D4")
         iv = interval(d4.longest_element())
         assert candidate_shapes(iv) == [(2, 4, 4, 6)]
-        s1, s2, s3, s4 = (iv.key_ids[d4.generator(a).key] for a in (1, 2, 3, 4))
+        s1, s2, s3, s4 = (iv.id_of(d4.generator(a).iword) for a in (1, 2, 3, 4))
         # search positions 0-3: the origin, e_3, e_2, e_1
         ok = replay_at(iv, [0, s1, s3, s4], s2)
         assert search(iv, budget=1, checkpoint=ok).status == BUDGET_EXCEEDED
@@ -159,7 +159,7 @@ class TestSearch:
         # s2 <-> s3, so the first rank-1 lattice vertex takes s1 or s2 only
         f4 = system("F4")
         iv = interval(f4.longest_element())
-        ids = {a: iv.key_ids[f4.generator(a).key] for a in f4.labels}
+        ids = {a: iv.id_of(f4.generator(a).iword) for a in f4.labels}
         for a in f4.labels:
             cp = replay_at(iv, [0], ids[a])
             if a in (1, 2):
