@@ -1,21 +1,20 @@
 """Bruhat order: lower intervals, Hasse diagrams, and Bruhat graphs.
 
-The interval [1, y] is built on root ids (see ``coxeter``): an element u
-is keyed by the tuple of root ids of u(alpha_1), ..., u(alpha_n), and
-left-multiplying by a generator is n lookups in the system's action
-table.  The keys stay in the build, which turns them into the interval's
-own action table on ids.  A vertex is an id, found from an index word
-through that table (``id_of``); its canonical word is read along the
-``letter`` and ``below`` arrays, and ``vertices``, the list of vertex
-Elements, is a view built on first read.
+The interval [1, y] arrives from ``coxeter`` as arrays on ids
+(``CoxeterSystem._interval_arrays``), and this module reads no key.  A
+vertex is an id, found from an index word through the interval's action
+table (``id_of``); its canonical word is read along the ``letter`` and
+``below`` arrays, and ``vertices``, the list of vertex Elements, is a view
+built on first read.
 
 - Vertices: by the subword property, reading a reduced word of y right to
-  left and setting S <- S u s*S each time yields [1, y]; a key not yet in
-  S lies one length above the element it came from (Bjorner-Brenti,
-  *Combinatorics of Coxeter Groups*, GTM 231, Ch. 2).
-- Canonical words, in length order: the first letter of the
-  lexicographically first reduced word of u is its smallest left descent
-  s, found by looking s*u up one length down; the rest is the word of s*u.
+  left and setting S <- S u s*S each time yields [1, y] (Bjorner-Brenti,
+  *Combinatorics of Coxeter Groups*, GTM 231, Ch. 2), each generator
+  applied to each element once.
+- Canonical words: the first letter of the lexicographically first
+  reduced word of u is its smallest left descent s, the rest is the word
+  of s*u, and a breadth-first pass over the closure's images numbers the
+  ids in that order.
 - Edges, from one recursion on the id-level generator action: by strong
   exchange (same reference, Ch. 1) the u -> v below v are the l(v)
   distinct one-letter deletions of v's canonical word, and those of v are
@@ -48,8 +47,9 @@ class BruhatInterval:
     canonical word), and ``below[u]``, the id of s*u (-1 at the identity),
     so that u's word is letter[u], letter[below[u]], ... down to id 0;
     and ``action[s][u]``, the id of s*u, or -1 when s*u is outside [1, y],
-    one int array per generator, built with the ids.  ``id_of`` walks it
-    along a reduced index word; no key and no Element is kept per id, and
+    one int array per generator, all four from
+    ``CoxeterSystem._interval_arrays``.  ``id_of`` walks ``action`` along a
+    reduced index word; no key and no Element is kept per id, and
     ``vertices`` makes the Elements on first read.  The edges are
     ``deletions``, v's from ``offsets[v]`` on, and ``labels``; they and
     ``below_masks`` are built on first read, and ``covers(v)`` reads the
@@ -62,11 +62,7 @@ class BruhatInterval:
         system._own(top)
         self.system = system
         self.top = top
-        ids, self.letter, self.below, self.starts = system._sorted_keys(
-            subword_closure(system, top.iword)
-        )
-        left = system._left
-        self.action = [array("i", [ids.get(left(s, k), -1) for k in ids]) for s in range(system.rank)]
+        self.letter, self.below, self.starts, self.action = system._interval_arrays(top.iword)
         starts = self.starts
         self.lengths = [l for l in range(len(starts) - 1) for _ in range(starts[l], starts[l + 1])]
         # v's deletions are deletions[offsets[v]:offsets[v + 1]], l(v) of them
@@ -199,35 +195,10 @@ class BruhatInterval:
         return bool(self.below_masks[y_id] >> x_id & 1)
 
 
-def subword_closure(system: CoxeterSystem, iword: tuple) -> list[list[tuple]]:
-    """Keys of [1, y] grouped by length, for y with reduced index word iword.
-
-    After reading the suffix w of the word, the set holds the products of
-    the subwords of w, which is [1, w]; an s*x not in [1, w] has s*x > x.
-    """
-    left = system._left
-    found = [(system._identity_key, 0)]
-    seen = {system._identity_key}
-    for s in reversed(iword):
-        for i in range(len(found)):
-            key, l = found[i]
-            k = left(s, key)
-            if k not in seen:
-                seen.add(k)
-                found.append((k, l + 1))
-    levels = [[] for _ in range(len(iword) + 1)]
-    for key, l in found:
-        levels[l].append(key)
-    return levels
-
-
 def interval(y: Element) -> BruhatInterval:
     return BruhatInterval(y.system, y)
 
 
 def poincare_polynomial(iv: BruhatInterval) -> IntPoly:
-    """Length generating function of [1, y]."""
-    coeffs = [0] * (iv.top.length + 1)
-    for l in iv.lengths:
-        coeffs[l] += 1
-    return IntPoly(coeffs)
+    """Length generating function of [1, y]: its level sizes, off ``starts``."""
+    return IntPoly([b - a for a, b in zip(iv.starts, iv.starts[1:])])

@@ -358,49 +358,75 @@ class CoxeterSystem:
             el = self._element(key, self._canonical(self._key(iword[::-1])))
         return el
 
-    def _sorted_keys(self, levels):
-        """Keys grouped by length, in (length, canonical word) order.
-
-        ``levels[l]`` holds keys of length l, and for every key u in it and
-        every left descent s of u, s*u must lie in ``levels[l - 1]``, as in a
-        lower interval or a ball.  The canonical word of u is (s,) +
-        word(s*u) for the smallest such s, the first s that finds s*u one
-        length down; within one length the words order as (s, id of s*u).
-
-        Returns (ids, letter, below, starts): each key's id, in id order,
-        which an interval turns into its action table and drops; the
-        smallest left descent s of each id and the id of s*u (-1 at the
-        identity), as int arrays; and the first id of each length.
-        """
+    def _closure(self, iword):
+        """(keys, ids, lengths, images) of [1, y], y = iword reduced: keys in
+        order of discovery, each key's place and each place's length, and
+        ``images[s][x]``, the place of s times key x, for the places s met.
+        S <- S u s*S for each letter s, right to left, yields [1, y] and puts
+        a new key one length above its source (Bjorner-Brenti, GTM 231,
+        Ch. 2); a pass of s leaves S closed under s, so the next pass of s
+        reads only the keys found since."""
         left = self._left
-        ids = {self._identity_key: 0}
-        letter = array("i", [-1])
-        below = array("i", [-1])
-        starts = [0, 1]
-        for level in levels[1:]:
-            ordered = []
-            for key in level:
-                for s in range(self.rank):
-                    v = ids.get(left(s, key))
-                    if v is not None:
-                        ordered.append((s, v, key))
-                        break
-            ordered.sort()
-            for s, v, key in ordered:
-                ids[key] = len(ids)
-                letter.append(s)
-                below.append(v)
-            starts.append(len(ids))
-        return ids, letter, below, starts
+        keys, lengths = [self._identity_key], [0]
+        ids = {keys[0]: 0}
+        images = [array("i") for _ in range(self.rank)]
+        for s in reversed(iword):
+            row = images[s]
+            for x in range(len(row), len(keys)):
+                k = left(s, keys[x])
+                v = ids.get(k)
+                if v is None:
+                    v = ids[k] = len(keys)
+                    keys.append(k)
+                    lengths.append(lengths[x] + 1)
+                row.append(v)
+        return keys, ids, lengths, images
+
+    def _interval_arrays(self, iword):
+        """(letter, below, starts, action) of [1, y], y = iword reduced.  The
+        closure's images, filled in once (-1 outside [1, y]), are read breadth
+        first, generators outer and a level's ids inner: that meets each u
+        first from its smallest left descent s, at s*u, and u's canonical word
+        is s then s*u's, so ids run in (length, canonical word) order."""
+        keys, ids, _, images = self._closure(iword)
+        for s, row in enumerate(images):
+            row.extend(ids.get(self._left(s, key), -1) for key in keys[len(row) :])
+        canon = [0] + [None] * (len(keys) - 1) + [-1]  # each place's id; -1 is outside
+        letter, below, starts = array("i", [-1]), array("i", [-1]), [0, 1]
+        action = [array("i") for _ in images]
+        level = [0]
+        while True:
+            base, nxt = len(letter) - len(level), []
+            for s, row in enumerate(images):
+                out = action[s]
+                for c, x in enumerate(level, base):
+                    v = canon[row[x]]
+                    if v is None:
+                        v = canon[row[x]] = len(letter)
+                        letter.append(s)
+                        below.append(c)
+                        nxt.append(row[x])
+                    out.append(v)
+            if not nxt:
+                return letter, below, starts, action
+            starts.append(len(letter))
+            level = nxt
+
+    @staticmethod
+    def _words(letter, below) -> list:
+        """Index words in id order: id v's is letter[v] then below[v]'s."""
+        words = [()]
+        for v in range(1, len(letter)):
+            words.append((letter[v],) + words[below[v]])
+        return words
 
     def _elements_from(self, letter, below) -> list:
-        """The Elements in id order, as ``_sorted_keys`` numbers them: id v has
-        letter[v] then below[v]'s word, and letter[v] applied to its key."""
-        keys, words = [self._identity_key], [()]
+        """The Elements in id order, for ids numbered as ``_interval_arrays``
+        numbers them: the key of id v is letter[v] applied to below[v]'s."""
+        keys = [self._identity_key]
         for v in range(1, len(letter)):
             keys.append(self._left(letter[v], keys[below[v]]))
-            words.append((letter[v],) + words[below[v]])
-        return list(map(self._element, keys, words))
+        return list(map(self._element, keys, self._words(letter, below)))
 
     # -- public element API -------------------------------------------------
 
@@ -607,41 +633,41 @@ class CoxeterSystem:
 
     # -- balls --------------------------------------------------------------
 
-    def _ball_levels(self, radius: int) -> list:
-        """Keys of the elements of each length 0..radius, breadth first.
-
-        s*u is one length above or below u, so a key met from length l that
-        is not of length l - 1 is of length l + 1.  A finite group ends with
-        an empty level.
-        """
+    def _ball(self, radius: int):
+        """(keys, letter, below, starts) of the elements of length 0..radius,
+        numbered as ``_interval_arrays`` numbers an interval.  A key met from
+        length l, not of length l - 1 and not yet found, is of length l + 1."""
         left = self._left
-        levels = [[self._identity_key]]
-        older = set()
+        level = [self._identity_key]
+        keys = list(level)
+        letter, below, starts = array("i", [-1]), array("i", [-1]), [0, 1]
+        seen = set()  # the level below, then the keys found one level up
         for _ in range(radius):
-            nxt = {}
-            for key in levels[-1]:
-                for s in range(self.rank):
+            base, nxt = len(keys) - len(level), []
+            for s in range(self.rank):
+                for c, key in enumerate(level, base):
                     k = left(s, key)
-                    if k not in older:
-                        nxt[k] = None
-            older = set(levels[-1])
-            levels.append(list(nxt))
-            if not nxt:
-                break
-        return levels
+                    if k not in seen:
+                        seen.add(k)
+                        nxt.append(k)
+                        letter.append(s)
+                        below.append(c)
+            seen = set(level)
+            level = nxt
+            keys += nxt
+            starts.append(len(keys))
+        return keys, letter, below, starts
 
     def ball_layers(self, radius: int) -> list:
         """Elements grouped by length, for lengths 0..radius."""
-        _, letter, below, starts = self._sorted_keys(self._ball_levels(radius))
-        elements = self._elements_from(letter, below)
-        layers = [elements[a:b] for a, b in zip(starts, starts[1:])]
-        layers += [[] for _ in range(radius + 1 - len(layers))]
-        return layers
+        keys, letter, below, starts = self._ball(radius)
+        elements = list(map(self._element, keys, self._words(letter, below)))
+        return [elements[a:b] for a, b in zip(starts, starts[1:])]
 
     def ball_layer_counts(self, radius: int) -> list:
         """Number of elements of each length 0..radius (no words made)."""
-        counts = [len(level) for level in self._ball_levels(radius)]
-        return counts + [0] * (radius + 1 - len(counts))
+        starts = self._ball(radius)[3]
+        return [b - a for a, b in zip(starts, starts[1:])]
 
     # -- diagram combinatorics ----------------------------------------------
 

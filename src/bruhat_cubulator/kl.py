@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING, NamedTuple
 
-from .bruhat import BruhatInterval, interval, poincare_polynomial, subword_closure
+from .bruhat import BruhatInterval, interval, poincare_polynomial
 from .coxeter import Element
 from .polynomials import IntPoly, ONE, ZERO, is_palindromic
 
@@ -227,10 +227,11 @@ def all_trivial(y: Element) -> bool:
     """True iff P_{x,y} = 1 for all x <= y.
 
     Tests palindromicity of the level sizes of [1, y], which is equivalent
-    (Carrell-Peterson); ``carrell_peterson_report(y).all_trivial`` computes
-    the whole table instead.
+    (Carrell-Peterson), off the lengths that ``CoxeterSystem._closure``
+    meets in increasing order; ``carrell_peterson_report(y).all_trivial``
+    computes the whole table instead.
     """
-    sizes = [len(level) for level in subword_closure(y.system, y.iword)]
+    sizes = list(Counter(y.system._closure(y.iword)[2]).values())
     return sizes == sizes[::-1]
 
 

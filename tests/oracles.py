@@ -12,6 +12,7 @@ JSON text by the standard library's own encoder.
 from __future__ import annotations
 
 import json
+from array import array
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -300,6 +301,110 @@ def _solve_exact(rows, width):
             raise ValueError("non-integer solution")
         sol[c] = int(v)
     return sol
+
+
+def subword_closure(system: CoxeterSystem, iword: tuple) -> list[list[tuple]]:
+    """Keys of [1, y] grouped by length, for y with reduced index word iword.
+
+    Every letter is applied to every key found so far, so nothing depends
+    on which keys a letter has already met.  After reading the suffix w of
+    the word, the set holds the products of the subwords of w, which is
+    [1, w]; an s*x not in [1, w] has s*x > x.
+    """
+    left = system._left
+    found = [(system._identity_key, 0)]
+    seen = {system._identity_key}
+    for s in reversed(iword):
+        for i in range(len(found)):
+            key, l = found[i]
+            k = left(s, key)
+            if k not in seen:
+                seen.add(k)
+                found.append((k, l + 1))
+    levels = [[] for _ in range(len(iword) + 1)]
+    for key, l in found:
+        levels[l].append(key)
+    return levels
+
+
+def ball_levels(system: CoxeterSystem, radius: int) -> list:
+    """Keys of the elements of each length 0..radius, breadth first.
+
+    s*u is one length above or below u, so a key met from length l that
+    is not of length l - 1 is of length l + 1.  A finite group ends with
+    an empty level.
+    """
+    left = system._left
+    levels = [[system._identity_key]]
+    older = set()
+    for _ in range(radius):
+        nxt = {}
+        for key in levels[-1]:
+            for s in range(system.rank):
+                k = left(s, key)
+                if k not in older:
+                    nxt[k] = None
+        older = set(levels[-1])
+        levels.append(list(nxt))
+        if not nxt:
+            break
+    return levels
+
+
+def sorted_keys(system: CoxeterSystem, levels):
+    """Keys grouped by length, numbered in (length, canonical word) order by
+    sorting each level on (smallest left descent s, id of s*u).
+
+    Returns (ids, letter, below, starts): the dict from key to id, the
+    smallest left descent of each id and the id of s*u (-1 at the
+    identity), and the first id of each length.
+    """
+    left = system._left
+    ids = {system._identity_key: 0}
+    letter = array("i", [-1])
+    below = array("i", [-1])
+    starts = [0, 1]
+    for level in levels[1:]:
+        ordered = []
+        for key in level:
+            for s in range(system.rank):
+                v = ids.get(left(s, key))
+                if v is not None:
+                    ordered.append((s, v, key))
+                    break
+        ordered.sort()
+        for s, v, key in ordered:
+            ids[key] = len(ids)
+            letter.append(s)
+            below.append(v)
+        starts.append(len(ids))
+    return ids, letter, below, starts
+
+
+def interval_arrays(system: CoxeterSystem, iword: tuple) -> tuple:
+    """(letter, below, starts, action) of [1, y] from the subword closure,
+    the sort and a separate pass over every key for the action table."""
+    ids, letter, below, starts = sorted_keys(system, subword_closure(system, iword))
+    left = system._left
+    action = [array("i", [ids.get(left(s, k), -1) for k in ids]) for s in range(system.rank)]
+    return letter, below, starts, action
+
+
+def ball_layers(system: CoxeterSystem, radius: int) -> list[list[tuple]]:
+    """(key, canonical index word) pairs of each length 0..radius."""
+    ids, letter, below, starts = sorted_keys(system, ball_levels(system, radius))
+    words = [()]
+    for v in range(1, len(letter)):
+        words.append((letter[v],) + words[below[v]])
+    pairs = list(zip(ids, words))
+    layers = [pairs[a:b] for a, b in zip(starts, starts[1:])]
+    return layers + [[] for _ in range(radius + 1 - len(layers))]
+
+
+def all_trivial(y: Element) -> bool:
+    """Palindromic level sizes of the subword closure (Carrell-Peterson)."""
+    sizes = [len(level) for level in subword_closure(y.system, y.iword)]
+    return sizes == sizes[::-1]
 
 
 def word_matrix(system: CoxeterSystem, iword: tuple) -> tuple:

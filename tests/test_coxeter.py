@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from itertools import permutations, product
 
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 from bruhat_cubulator.bruhat import BruhatInterval, interval
 from bruhat_cubulator.constructions import y_m
-from bruhat_cubulator.coxeter import build_system
+from bruhat_cubulator.coxeter import CoxeterSystem, build_system
 from bruhat_cubulator.growth import ball_in_interval_check
+from bruhat_cubulator.kl import all_trivial
 
 import oracles
 from conftest import system
@@ -366,6 +368,106 @@ class TestBruhatOrder:
         assert atilde2.ball_layer_counts(3) == [1, 3, 6, 9]
         a2 = system("A2")
         assert a2.ball_layer_counts(5) == [1, 2, 2, 1, 0, 0]
+
+
+def random_reduced_word(sys, length, rng):
+    """An index word of ``length`` letters, reduced, extended on the right by a
+    random non-descent each time, so it is seldom the canonical word."""
+    el = sys.identity
+    for _ in range(length):
+        el = el * sys.generator(rng.choice(sorted(set(sys.labels) - sys.right_descents(el))))
+    word = []
+    while el.length:
+        s = rng.choice(sorted(sys.right_descents(el)))
+        word.append(sys.labels.index(s))
+        el = el * sys.generator(s)
+    return tuple(word[::-1])
+
+
+class TestEnumerationPass:
+    """One closure per interval, each generator applied to each key once, and
+    the canonical numbering, ``action`` and balls as the subword closure, the
+    sort and the separate ``action`` pass give them (``oracles``)."""
+
+    @staticmethod
+    def count_left(monkeypatch):
+        calls = [0]
+        left = CoxeterSystem._left
+
+        def counting(self, s, rids):
+            calls[0] += 1
+            return left(self, s, rids)
+
+        monkeypatch.setattr(CoxeterSystem, "_left", counting)
+        return calls
+
+    @pytest.mark.parametrize("tag", ["B4", "D5", "F4", "H3", "Atilde2"])
+    def test_rank_times_size_applications(self, tag, monkeypatch):
+        sys = build_system(tag)
+        y = y_m(sys, 12) if tag == "Atilde2" else sys.longest_element()
+        calls = self.count_left(monkeypatch)
+        size = len(interval(y))
+        assert calls[0] == sys.rank * size
+        calls[0] = 0
+        assert all_trivial(y)
+        assert calls[0] <= sys.rank * size
+
+    def test_ball_applies_each_generator_once_below_the_radius(self, monkeypatch):
+        sys = build_system("Atilde4")
+        calls = self.count_left(monkeypatch)
+        layers = sys.ball_layers(8)
+        assert sum(map(len, layers)) == 1231
+        assert calls[0] <= sys.rank * 1231
+
+    @pytest.mark.parametrize(
+        "tag", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "F4", "H3", "I2(5)", "G2"]
+    )
+    def test_longest_interval_arrays(self, tag):
+        sys = system(tag)
+        iv = interval(sys.longest_element())
+        want = oracles.interval_arrays(sys, iv.top.iword)
+        assert (iv.letter, iv.below, iv.starts, iv.action) == want
+
+    @pytest.mark.parametrize(
+        "tag,length", [("A4", 10), ("B4", 16), ("D5", 14), ("H3", 15), ("Atilde2", 12), ("Ctilde2", 10)]
+    )
+    def test_random_reduced_words(self, tag, length):
+        sys, rng = system(tag), random.Random(tag)
+        for _ in range(20):
+            iword = random_reduced_word(sys, rng.randint(0, length), rng)
+            got = sys._interval_arrays(iword)
+            assert got == oracles.interval_arrays(sys, iword), iword
+            iv = interval(sys._from_word(iword))
+            assert got == (iv.letter, iv.below, iv.starts, iv.action)
+
+    @pytest.mark.parametrize(
+        "tag,radii",
+        [
+            ("Atilde2", [30]),
+            ("Atilde4", [8]),
+            ("Ctilde3", [9]),
+            ("B3", range(11)),
+            ("H3", range(17)),
+            ("I2(7)", range(9)),
+        ],
+    )
+    def test_balls(self, tag, radii):
+        sys = system(tag)
+        for radius in radii:
+            layers = sys.ball_layers(radius)
+            want = oracles.ball_layers(sys, radius)
+            assert [[(el.key, el.iword) for el in layer] for layer in layers] == want
+            assert sys.ball_layer_counts(radius) == list(map(len, want))
+
+    # Atilde2 stops at radius 16: its 1,396 elements to radius 30 take
+    # about 5 s here, most of it in the oracle's closures
+    @pytest.mark.parametrize(
+        "tag,radius", [("Atilde2", 16), ("Atilde4", 8), ("Ctilde3", 9), ("B3", 9), ("H3", 15), ("I2(7)", 7)]
+    )
+    def test_all_trivial(self, tag, radius):
+        for layer in system(tag).ball_layers(radius):
+            for y in layer:
+                assert all_trivial(y) == oracles.all_trivial(y), y
 
 
 # each call that takes an A3 Element, given an element of B3 instead
