@@ -31,9 +31,12 @@ import re
 from array import array
 from math import lcm
 
-from .rings import CosRing, scalar_sign
-
 INF = math.inf
+
+
+def _sign(x) -> int:
+    """The sign of an int, or of a ring scalar by its own exact ``sign``."""
+    return (x > 0) - (x < 0) if isinstance(x, int) else x.sign()
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +198,9 @@ class CoxeterSystem:
             self.ring = None
             self._zero, self._one = 0, 1
         else:
+            # imported only here: integer-tier systems never load the rings
+            from .rings import CosRing
+
             self.ring = CosRing(lcm(*sorted(m for m in finite_ms if m >= 4)))
             self._zero, self._one = self.ring.zero, self.ring.one
 
@@ -308,7 +314,7 @@ class CoxeterSystem:
         """+1 for a positive root vector, -1 for a negative one."""
         sign = 0
         for x in v:
-            s = scalar_sign(x)
+            s = _sign(x)
             if s:
                 if sign and s != sign:
                     raise AssertionError(f"mixed-sign root vector {v}")
@@ -711,7 +717,7 @@ class CoxeterSystem:
         rows = [list(row) for row in self._crow]
         for k, pivot_row in enumerate(rows):
             p = pivot_row[k]
-            if scalar_sign(p) <= 0:
+            if _sign(p) <= 0:
                 return False
             for row in rows[k + 1 :]:
                 a = row[k]

@@ -58,10 +58,3 @@ class CubicalLattice:
                     v = u[:i] + (u[i] + 1,) + u[i + 1 :]
                     out.append((u, v))
         return out
-
-    def predecessors(self, v) -> list[tuple]:
-        return [
-            v[:i] + (v[i] - 1,) + v[i + 1 :]
-            for i in range(len(v))
-            if v[i] > 0
-        ]

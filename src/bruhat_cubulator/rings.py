@@ -192,10 +192,3 @@ class RingScalar:
 
     def __repr__(self):
         return f"RingScalar({list(self.coeffs)} @ L={self.ring.L})"
-
-
-def scalar_sign(x) -> int:
-    """Sign of an int or RingScalar."""
-    if isinstance(x, RingScalar):
-        return x.sign()
-    return (x > 0) - (x < 0)

@@ -1,7 +1,11 @@
 """Backtracking search for cubical-lattice spanning subgraphs of Bruhat graphs.
 
 Lattice vertices are processed in (rank, lexicographic) order, so every
-lattice predecessor of a vertex is assigned before it.  A lattice edge
+lattice predecessor of a vertex is assigned before it.  The search names a
+vertex by its position in that order and reads positions off integer
+mixed-radix codes (``_positions``): the order, each vertex's predecessors
+and the unit vectors come by arithmetic, and coordinate tuples are made
+only for a Found certificate.  A lattice edge
 raises the rank by one, so it must land on a Hasse edge of [1, y], and
 the candidate set for a vertex is a bitset intersection: unused interval
 vertices that cover the image of every predecessor.  That intersection
@@ -27,6 +31,10 @@ it binds a checkpoint to its job before replay.
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
+from itertools import accumulate, pairwise, product, repeat
+from math import prod
 from typing import NamedTuple
 
 from .bruhat import BruhatInterval, interval, poincare_polynomial
@@ -72,6 +80,57 @@ def _shape_lattice(shape) -> CubicalLattice:
     if not shape:
         return CubicalLattice((0,))
     return CubicalLattice(tuple(a - 1 for a in shape))
+
+
+def _positions(params: tuple[int, ...]) -> tuple[list[int], list[tuple], list[tuple], list[int]]:
+    """The lattice C(params) on its positions, its vertices in (rank,
+    lexicographic) order: the tables (code, ready, others, unit).
+
+    Vertex v has the mixed-radix code sum_i v_i * radix_i, radix_i =
+    prod_{j > i} (k_j + 1), so lexicographic order is numeric order of the
+    codes, and position order is the codes stably sorted by digit sum:
+    ``code[p]`` is position p's.  The predecessors of v are the v - e_i,
+    codes c - radix_i, one per nonzero digit v_i, and the last of them in
+    position order is the one at v's last nonzero digit, the least radix.
+    ``ready[p]`` holds the positions whose last predecessor is p, and
+    ``others[r]`` r's other predecessors.  ``unit[i]`` is the position of
+    e_i, code radix_i, or -1 if k_i = 0.
+
+    The last predecessor never decreases along the positions, so each
+    ``ready[p]`` is a run of them: if u precedes v in one rank and they
+    first differ at axis a, then u_a < v_a and u has a nonzero digit past
+    a, so u's last predecessor agrees with u up to a, and v's agrees with v
+    before a and holds v_a, or v_a - 1 with only zeros after it, at a;
+    either way u's is at most v's.
+    """
+    n = len(params)
+    radix = [prod(k + 1 for k in params[i + 1 :]) for i in range(n)]
+    # nonzero[c]: the bitset of the axes of c's nonzero digits, and
+    # rank[c]: c's digit sum, for c in code order, built from the last axis
+    nonzero, rank = [0], [0]
+    for i in reversed(range(n)):
+        nonzero += [z | 1 << i for z in nonzero] * params[i]
+        rank = [r + d for d in range(params[i] + 1) for r in rank]
+    # steps[z]: the radices of the axes in bitset z, least first
+    steps = [[radix[i] for i in reversed(range(n)) if z >> i & 1] for z in range(1 << n)]
+    rest = [tuple(s[1:]) for s in steps]
+    ids = tuple(range(len(rank)))  # one int object per position, shared by every table
+    code = sorted(ids, key=rank.__getitem__)
+    pos = sorted(ids, key=code.__getitem__)
+    # the positions r >= 1 by their last predecessor: first[p] <= r < first[p + 1]
+    count = Counter(pos[c - steps[nonzero[c]][0]] for c in code[1:])
+    first = list(accumulate(map(count.get, ids, repeat(0)), initial=1))
+    ready = [ids[a:b] for a, b in pairwise(first)]
+    others = [tuple([pos[c - step] for step in rest[nonzero[c]]]) for c in code]
+    return code, ready, others, [pos[step] if k else -1 for step, k in zip(radix, params)]
+
+
+def _assignment(params: tuple[int, ...], code: list[int], assigned: list[int]) -> dict:
+    """A certificate's assignment: the vertex of each position, as its
+    coordinate tuple, to the position's id.  ``product`` lists the vertices
+    in lexicographic order, which is the order of their codes."""
+    verts = list(product(*(range(k + 1) for k in params)))
+    return dict(zip(map(verts.__getitem__, code), assigned))
 
 
 def _orbit_minima(iv: BruhatInterval) -> int:
@@ -121,17 +180,17 @@ def _stats(nodes: int, shapes: int, prunes_forward: int, prunes_matching: int) -
     }
 
 
-def _augment(o: int, goal: int, domains, blocked: int, match, owner) -> int:
+def _augment(o: int, goal: int, domains, blocked: int, match, owner, via) -> int:
     """Rematch vertex o along a shortest alternating path that ends on an id
     in ``goal``, an id no vertex holds; return that id, or -1 if none exists.
 
     Vertex q may take the ids of ``domains[q] & ~blocked``; ``match[q]`` is
     q's id and ``owner`` inverts ``match`` on the held ids.  The path is
-    searched breadth first, with no recursion, and nothing is written
-    unless it is found.
+    searched breadth first, with no recursion, and no match is written
+    unless it is found.  ``via`` is scratch space with an entry per id:
+    via[i] is set to the vertex whose domain reached i.
     """
     seen = blocked
-    via = {}  # id -> the vertex whose domain reached it
     level = [o]
     while level:
         nxt = []
@@ -159,7 +218,7 @@ def _augment(o: int, goal: int, domains, blocked: int, match, owner) -> int:
     return -1
 
 
-def _match_rank(lo: int, hi: int, domains, match, owner) -> bool:
+def _match_rank(lo: int, hi: int, domains, match, owner, via) -> bool:
     """Match each vertex lo..hi-1 to its own id in ``domains``: greedily by
     least id, then by augmenting paths.  False if no such matching exists."""
     taken = 0
@@ -170,7 +229,7 @@ def _match_rank(lo: int, hi: int, domains, match, owner) -> bool:
             match[q] = i
             owner[i] = q
         else:
-            i = _augment(q, ~taken, domains, 0, match, owner)
+            i = _augment(q, ~taken, domains, 0, match, owner, via)
             if i < 0:
                 return False
         taken |= 1 << i
@@ -224,38 +283,43 @@ def search(
     if job["shape"] is None:
         return SearchOutcome(EXHAUSTED, None, _stats(0, 0, 0, 0))
     lattice = _shape_lattice(job["shape"])
-    verts = lattice.vertices()
-    nv = len(verts)
-    vert_pos = {v: i for i, v in enumerate(verts)}
-    preds = [[vert_pos[u] for u in lattice.predecessors(v)] for v in verts]
+    par = lattice.params
+    code, ready, others, unit = _positions(par)
+    nv = len(code)
     # lattice rank k has as many positions as band k has ids, so position p
     # has rank band[p], and bit i of its masks stands for id lo[p] + i
     starts, band = iv.starts, iv.lengths
     lo = [starts[k] for k in band]
     end = [starts[k + 1] for k in band]
-    # up[u]: the interval vertices that cover u, in band ell(u) + 1
+    # up[u]: the interval vertices that cover u, in band ell(u) + 1 (id v
+    # has band band[v] too, so lo[v] is its band's first id)
     up = [0] * nv
-    for v in range(nv):
-        bit = 1 << (v - starts[band[v]])
-        for u in iv.covers(v):
+    covers = iv.covers
+    for v, low in enumerate(lo):
+        bit = 1 << (v - low)
+        for u in covers(v):
             up[u] |= bit
-    minima = _orbit_minima(iv)
-    # ready[p]: the vertices whose last predecessor in search order is p
-    ready: list[list[int]] = [[] for _ in range(nv)]
-    for r in range(1, nv):
-        ready[max(preds[r])].append(r)
-
-    # sym_gt[e_i] = e_{i+1} for equal adjacent parameters: L(e_i) > L(e_{i+1})
-    par = lattice.params
-    unit = [vert_pos.get(tuple(int(j == i) for j in range(len(par)))) for i in range(len(par))]
-    sym_gt = {unit[i]: unit[i + 1] for i in range(len(par) - 1) if par[i] == par[i + 1] > 0}
+    # gt[e_i] = e_{i+1} for equal adjacent parameters: L(e_i) > L(e_{i+1})
+    gt = [-1] * nv
+    for i in range(len(par) - 1):
+        if par[i] == par[i + 1] > 0:
+            gt[unit[i]] = unit[i + 1]
 
     assigned = [-1] * nv
     masks = [0] * nv
+    # upa[q]: up[assigned[q]], the covers of q's image
+    upa = [0] * nv
     # base[p]: the covers of the images of p's predecessors (at position 1,
-    # orbit minima only), filled when the last of them is assigned
+    # orbit minima only), filled when the last of them is assigned.
+    # Position 0 holds the identity, so rank 1 is filled here and the loop
+    # checks no vertex when position 0 is assigned.
     base = [0] * nv
-    base[0] = 1  # the identity
+    base[0] = 1
+    for r in ready[0]:
+        base[r] = up[0]
+    if nv > 1:
+        base[1] &= _orbit_minima(iv)
+    ready[0] = ()
     # used[k]: the ids of band k held by assigned positions
     used = [0] * (len(starts) - 1)
     # match[q], for the unassigned q of the current rank: a perfect matching
@@ -265,12 +329,16 @@ def search(
     # Rank 0 starts matched: position 0 holds id 0, the identity.
     match = [0] * nv
     owners = [[0] * (hi - a) for a, hi in zip(starts, starts[1:])]
-    expansions = prunes_forward = prunes_matching = 0
+    via = [0] * max(map(len, owners))
+    prunes_forward = prunes_matching = 0
 
     # a checkpoint replays its path, then min_id, through the loop below:
-    # positions up to ``replay`` take only those ids, and are not counted
+    # positions up to ``replay`` take only those ids, one node each, and
+    # ``nodes`` counts those of the path, which the budget does not
     path, min_id = (checkpoint["path"], checkpoint["min_id"]) if checkpoint else ([], 0)
     replay = len(path) if checkpoint else -1
+    nodes = 0
+    limit = len(path) + budget if budget is not None else sys.maxsize
     stale = ValueError(
         "checkpoint does not replay against this interval: it was written by another "
         "job, or by an older version of the search whose pruning rules differ"
@@ -280,72 +348,88 @@ def search(
         raise stale
 
     status, cert, cp = EXHAUSTED, None, None
-    p, entered = 0, True
+    p = 0
     while p >= 0:
-        if entered:  # p's candidates: unused ids of base[p], past L(sym_gt[p])
-            m = base[p] & ~used[band[p]]
-            g = sym_gt.get(p)
-            if g is not None:
-                m &= -1 << (assigned[g] - lo[p] + 1)
-            if p <= replay:
-                i = (path[p] if p < replay else min_id) - lo[p]
-                m &= -1 << i
-                if not m >> i & 1:
-                    raise stale
-                if p == replay:
-                    replay = -1  # replayed: the search goes on from min_id
-            masks[p] = m
-            entered = False
-        m = masks[p]
-        if not m:
-            p -= 1
-            if p >= 0:
-                used[band[p]] ^= 1 << (assigned[p] - lo[p])
-            continue
-        b = m & -m
-        masks[p] = m ^ b
-        k = band[p]
-        i = b.bit_length() - 1
-        cid = lo[p] + i
-        if p >= replay:
-            if budget is not None and expansions >= budget:
-                status, cp = BUDGET_EXCEEDED, {**job, "path": assigned[:p], "min_id": cid}
-                break
-            expansions += 1
-        assigned[p] = cid
-        used[k] |= b
-        # forward checking: each vertex whose last predecessor is p keeps a
-        # candidate.  It lies in band k + 1, where no id is used yet, since
-        # the search runs in rank order, so base[r] itself must be nonzero.
-        for r in ready[p]:
-            m = minima if r == 1 else -1
-            for q in preds[r]:
-                m &= up[assigned[q]]
-            base[r] = m
+        # p is entered: its candidates are the unused ids of base[p], past L(gt[p])
+        k, low = band[p], lo[p]
+        m = base[p] & ~used[k]
+        g = gt[p]
+        if g >= 0:
+            m &= -1 << (assigned[g] - low + 1)
+        if p <= replay:
+            i = (path[p] if p < replay else min_id) - low
+            m &= -1 << i
+            if not m >> i & 1:
+                raise stale
+            if p == replay:
+                replay = -1  # replayed: the search goes on from min_id
+        # try p's candidates in turn, m holding those left, until one leads
+        # to p + 1; when none is left, back up to p - 1's next
+        while True:
             if not m:
-                prunes_forward += 1
+                p -= 1
+                if p < 0:
+                    break
+                k, low = band[p], lo[p]
+                used[k] ^= 1 << (assigned[p] - low)
+                m = masks[p]
+                continue
+            b = m & -m
+            m ^= b
+            i = b.bit_length() - 1
+            cid = low + i
+            if nodes >= limit:
+                status, cp = BUDGET_EXCEEDED, {**job, "path": assigned[:p], "min_id": cid}
+                p = -1
                 break
-        else:
-            owner = owners[k]
-            o = owner[i]
-            # i's holder o must move, along an alternating path, to p's old id
-            if o == p or _augment(o, 1 << match[p], base, used[k], match, owner) >= 0:
-                match[p] = i
-                owner[i] = p
-                e = end[p]
-                if e > p + 1 or e == nv or _match_rank(e, end[e], base, match, owners[k + 1]):
-                    if p + 1 == nv:
-                        status = FOUND
-                        cert = Cubulation(lattice, {v: assigned[q] for q, v in enumerate(verts)})
+            nodes += 1
+            assigned[p] = cid
+            used[k] |= b
+            upa[p] = u = up[cid]
+            # forward checking: each vertex whose last predecessor is p keeps a
+            # candidate.  It lies in band k + 1, where no id is used yet, since
+            # the search runs in rank order, so base[r] itself must be nonzero.
+            for r in ready[p]:
+                x = u
+                for q in others[r]:
+                    x &= upa[q]
+                base[r] = x
+                if not x:
+                    prunes_forward += 1
+                    break
+            else:
+                owner = owners[k]
+                o = owner[i]
+                # i's holder o must move to p's old id j: directly if its
+                # domain holds j, else along an alternating path
+                if o != p:
+                    j = match[p]
+                    if base[o] >> j & 1:
+                        match[o] = j
+                        owner[j] = o
+                    elif _augment(o, 1 << j, base, used[k], match, owner, via) < 0:
+                        o = -1
+                if o >= 0:
+                    match[p] = i
+                    owner[i] = p
+                    # p + 1 is entered if it is in p's rank, or if it starts
+                    # a rank that has a perfect matching; after the last
+                    # position, L is complete
+                    e = end[p]
+                    if e > p + 1 or e < nv and _match_rank(e, end[e], base, match, owners[k + 1], via):
+                        masks[p] = m
+                        p += 1
                         break
-                    p += 1
-                    entered = True
-                    continue
-            prunes_matching += 1
-        used[k] ^= b
-        if p < replay:
-            raise stale
-    stats = _stats(expansions, 1, prunes_forward, prunes_matching)
+                    if e == nv:
+                        status = FOUND
+                        cert = Cubulation(lattice, _assignment(par, code, assigned))
+                        p = -1
+                        break
+                prunes_matching += 1
+            used[k] ^= b
+            if p < replay:
+                raise stale
+    stats = _stats(nodes - len(path), 1, prunes_forward, prunes_matching)
     return SearchOutcome(status, cert, stats, cp)
 
 

@@ -40,6 +40,11 @@ def bruhat_leq_subword(x: Element, y: Element) -> bool:
     return x in subword_interval(y)
 
 
+def lattice_predecessors(v: tuple) -> list[tuple]:
+    """The vertices v - e_i of a cubical lattice, one per nonzero coordinate v_i."""
+    return [v[:i] + (v[i] - 1,) + v[i + 1 :] for i in range(len(v)) if v[i] > 0]
+
+
 def naive_cubulate_status(y: Element) -> str:
     return naive_cubulate(y)[0]
 
@@ -80,7 +85,7 @@ def naive_cubulate(y: Element) -> tuple[str, dict | None]:
             for el in elements:
                 if el.length != sum(v) or el in used:
                     continue
-                if not all(is_edge(assignment[u], el) for u in lattice.predecessors(v)):
+                if not all(is_edge(assignment[u], el) for u in lattice_predecessors(v)):
                     continue
                 assignment[v] = el
                 used.add(el)

@@ -200,3 +200,25 @@ def test_vertex_elements_are_read_by_the_verifier_and_suites_only():
             if isinstance(node, ast.Attribute) and node.attr == "vertices" and id(node) not in exempt
         ]
     assert readers == []
+
+
+def test_search_makes_no_vertex_tuple_tables():
+    """The search names lattice vertices by integer codes and makes their
+    coordinate tuples only for a Found certificate: no code in ``search``
+    but the independent verifier calls ``vertices()`` or ``predecessors()``."""
+    tree = ast.parse((_ROOT / "src" / "bruhat_cubulator" / "search.py").read_text())
+    verifier = next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "verify_certificate_detailed"
+    )
+    exempt = set(map(id, ast.walk(verifier)))
+    calls = [
+        f"search.py:{node.lineno}: {node.func.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("vertices", "predecessors")
+        and id(node) not in exempt
+    ]
+    assert calls == []

@@ -12,7 +12,6 @@ from bruhat_cubulator.rings import (
     cos_multiple,
     cyclotomic,
     minimal_poly_two_cos,
-    scalar_sign,
 )
 
 
@@ -149,11 +148,6 @@ class TestCosRing:
     def test_mixed_ring_rejected(self):
         with pytest.raises(ValueError):
             CosRing(5).one + CosRing(7).one
-
-    def test_scalar_sign_ints(self):
-        assert scalar_sign(5) == 1
-        assert scalar_sign(-2) == -1
-        assert scalar_sign(0) == 0
 
     def test_immutable(self):
         with pytest.raises(AttributeError):

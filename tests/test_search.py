@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bruhat_cubulator import serialize
 from bruhat_cubulator.bruhat import interval
+from bruhat_cubulator.cube import CubicalLattice
 from bruhat_cubulator.search import (
     BUDGET_EXCEEDED,
     EXHAUSTED,
@@ -17,6 +18,7 @@ from bruhat_cubulator.search import (
     Cubulation,
     _augment,
     _match_rank,
+    _positions,
     candidate_shapes,
     cubulate,
     search,
@@ -226,6 +228,62 @@ class TestSearch:
         )
 
 
+    def test_e6_w0_budget_checkpoint(self):
+        # the one search here with a large setup (51,840 ids) and an active
+        # diagram automorphism, which fixes w0 and so restricts position 1
+        iv = interval(system("E6").longest_element())
+        out = search(iv, budget=20_000)
+        assert out.status == BUDGET_EXCEEDED
+        assert out.stats["nodes_expanded"] == 20_000
+        assert out.stats["prunes_forward"] == 355
+        assert out.stats["prunes_matching"] == 2_865
+        path = out.checkpoint["path"]
+        assert (len(path), out.checkpoint["min_id"]) == (101, 147)
+        # SHA-256 of the JSON list of the path's ids
+        assert hashlib.sha256(json.dumps(path).encode()).hexdigest() == (
+            "bf2fc6f287b912aba7a9d4bbe2bb71a10d98f7209a6482975e894a365e1b04c9"
+        )
+
+
+def digits(code: int, params) -> tuple:
+    """The coordinates of the lattice vertex with mixed-radix code ``code``."""
+    out = []
+    for k in reversed(params):
+        code, d = divmod(code, k + 1)
+        out.append(d)
+    return tuple(reversed(out))
+
+
+class TestPositions:
+    """The search's integer position tables agree with the lattice's
+    coordinate tuples: its order, each vertex's predecessors, split into
+    the last in search order and the others, and its unit vectors."""
+
+    @pytest.mark.parametrize(
+        "params", [(0,), (3,), (1, 1), (2, 2, 3), (0, 2, 1), (1, 4, 5, 7, 8, 11)], ids=str
+    )
+    def test_tables_match_the_lattice(self, params):
+        verts = CubicalLattice(params).vertices()
+        position = {v: p for p, v in enumerate(verts)}
+        code, ready, others, unit = _positions(params)
+        assert [digits(c, params) for c in code] == verts
+        last = {r: p for p, rs in enumerate(ready) for r in rs}
+        assert sorted(last) == list(range(1, len(verts)))
+        for r, v in enumerate(verts):
+            preds = sorted(position[u] for u in oracles.lattice_predecessors(v))
+            if r:
+                assert last[r] == preds[-1]
+                preds.remove(last[r])
+            assert sorted(others[r]) == preds
+        units = [tuple(int(j == i) for j in range(len(params))) for i in range(len(params))]
+        assert unit == [position.get(e, -1) for e in units]
+
+    @pytest.mark.parametrize("tag", ["A3", "D4"])
+    def test_certificate_keys_are_the_lattice_vertices(self, tag):
+        cert = search(interval(system(tag).longest_element())).certificate
+        assert list(cert.assignment) == cert.lattice.vertices()
+
+
 class TestCheckpointBinding:
     """``search`` binds a checkpoint to its job before replaying it, so every
     caller (``cubulate``, the CLI, the suites) refuses another job's."""
@@ -308,8 +366,8 @@ class TestMatching:
     def test_agrees_with_hall(self, family):
         domains, steps = family
         k = len(domains)
-        match, owner = [0] * k, [0] * k
-        ok = _match_rank(0, k, domains, match, owner)
+        match, owner, via = [0] * k, [0] * k, [0] * k
+        ok = _match_rank(0, k, domains, match, owner, via)
         assert ok == hall_condition(domains)
         if not ok:
             return
@@ -325,7 +383,7 @@ class TestMatching:
             expected = hall_condition([domains[q] & ~blocked & ~(1 << cid) for q in others])
             before = list(match)
             o = owner[cid]
-            repaired = o == p or _augment(o, 1 << match[p], domains, blocked | 1 << cid, match, owner) >= 0
+            repaired = o == p or _augment(o, 1 << match[p], domains, blocked | 1 << cid, match, owner, via) >= 0
             assert repaired == expected
             if not repaired:
                 assert match == before
@@ -339,9 +397,9 @@ class TestMatching:
 
     def test_ids_in_no_domain(self):
         # four vertices whose domains leave id 3 out: no perfect matching
-        match, owner = [0] * 4, [0] * 4
-        assert not _match_rank(0, 4, [0b0111, 0b0011, 0b0101, 0b0110], match, owner)
-        assert not _match_rank(0, 2, [0b01, 0], match, owner)
+        match, owner, via = [0] * 4, [0] * 4, [0] * 4
+        assert not _match_rank(0, 4, [0b0111, 0b0011, 0b0101, 0b0110], match, owner, via)
+        assert not _match_rank(0, 2, [0b01, 0], match, owner, via)
 
 
 class TestCubulate:

@@ -63,15 +63,19 @@ def test_package_import_loads_no_submodule():
             "interval",
             "A1",
             ("dataclasses", "fractions")
-            + _package("search", "cube", "constructions", "growth", "suites"),
+            + _package("rings", "search", "cube", "constructions", "growth", "suites"),
         ),
         (
             "cubulate",
             "B3",
-            ("dataclasses", "fractions") + _package("constructions", "growth", "suites"),
+            ("dataclasses", "fractions") + _package("rings", "constructions", "growth", "suites"),
         ),
         # kl reports a_y as a Fraction
-        ("kl", "A3", ("dataclasses",) + _package("search", "constructions", "growth", "suites")),
+        (
+            "kl",
+            "A3",
+            ("dataclasses",) + _package("rings", "search", "constructions", "growth", "suites"),
+        ),
     ],
     ids=["interval", "cubulate", "kl"],
 )
@@ -79,6 +83,13 @@ def test_command_loads_only_what_it_runs(command, system, absent):
     code, modules = loaded(command, "--system", system, "--element", "w0")
     assert code == 0
     assert sorted(modules.intersection(absent)) == []
+
+
+def test_ring_tier_system_loads_rings():
+    # H3 has a bond of order 5, so its root coordinates lie in Z[2cos(pi/5)]
+    code, modules = loaded("interval", "--system", "H3", "--element", "w0")
+    assert code == 0
+    assert "bruhat_cubulator.rings" in modules
 
 
 def test_no_source_imports_dataclasses():
